@@ -38,13 +38,9 @@ from .plants import (
     PendulumParams,
     PlantModel,
     VanDerPolParams,
-    duffing_dynamics,
     make_plant,
-    network_dynamics,
-    pendulum_dynamics,
-    vdp_dynamics,
 )
-from .scenarios import Scenario, builtin_suite, load_scenario, parse, run_suite, serialize, validate
+from .scenarios import Scenario, builtin_suite, load_scenario, run_suite, validate
 from .sim import (
     DelaySpec,
     DisturbanceSpec,
@@ -52,7 +48,6 @@ from .sim import (
     SimConfig,
     TimeSeries,
     apply_noise,
-    estimate_derivative,
     eval_disturbance,
     rk4_step,
     simulate_run,

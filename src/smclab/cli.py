@@ -155,24 +155,6 @@ def render_line_svg(traces, title: str = "", xlabel: str = "t [s]",
     return "\n".join(parts) + "\n"
 
 
-def _read_csv_columns(path: Path):
-    with open(path, "r", newline="") as f:
-        lines = [line for line in f.read().splitlines() if line]
-    while lines and lines[0].startswith("#"):
-        lines.pop(0)
-    if not lines:
-        raise SmcLabError(f"{path}: empty CSV")
-    names = lines[0].split(",")
-    try:
-        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    except ValueError as exc:
-        raise SmcLabError(f"{path}: malformed CSV: {exc}") from None
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(names):
-        raise SmcLabError(f"{path}: malformed CSV body")
-    return names, {name: data[:, j] for j, name in enumerate(names)}
-
-
 def _out_dir(flag_value) -> Path:
     if flag_value:
         return Path(flag_value)
@@ -194,6 +176,8 @@ def _parse_override(text: str):
 
 
 def _apply_override(raw: dict, keys, value, source: str):
+    if not isinstance(raw, dict):
+        raise SmcLabError(f"override '{source}': the scenario is not a JSON object")
     node = raw
     for key in keys[:-1]:
         child = node.get(key)
@@ -224,10 +208,12 @@ def _load_raw_scenario(ref: str) -> dict:
     path = Path(ref)
     if path.exists():
         try:
-            with open(path, "r") as f:
+            with open(path, "r", encoding="utf-8") as f:
                 return json.load(f)
         except json.JSONDecodeError as exc:
             raise SmcLabError(f"{path}: not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SmcLabError(f"{path}: cannot read: {exc}") from None
     for sc in scenarios.builtin_suite():
         if sc.name == ref:
             return sc.to_dict()
@@ -237,23 +223,13 @@ def _load_raw_scenario(ref: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        raw = _load_raw_scenario(args.scenario)
-        if args.dt is not None:
-            _apply_override(raw, ["sim", "dt"], args.dt, "--dt")
-        for text in args.set or []:
-            keys, value = _parse_override(text)
-            _apply_override(raw, keys, value, text)
-    except SmcLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        scenario = scenarios.validate(raw)
-    except ScenarioValidationError as exc:
-        for message in exc.errors:
-            print(f"invalid scenario: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+    raw = _load_raw_scenario(args.scenario)
+    if args.dt is not None:
+        _apply_override(raw, ["sim", "dt"], args.dt, "--dt")
+    for text in args.set or []:
+        keys, value = _parse_override(text)
+        _apply_override(raw, keys, value, text)
+    scenario = scenarios.validate(raw)
 
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,12 +307,10 @@ def cmd_plot(args) -> int:
     try:
         for csv_ref in args.csv:
             path = Path(csv_ref)
-            names, table = _read_csv_columns(path)
-            if "t" not in table:
-                print(f"error: {path} has no 't' column", file=sys.stderr)
-                return EXIT_CONFIG
+            ts = sim.TimeSeries.read_csv(path)
+            names = ts.column_names()
             for column in columns:
-                if column not in table:
+                if column not in names:
                     print(
                         f"error: {path} has no column '{column}' "
                         f"(available: {', '.join(names)})",
@@ -344,7 +318,7 @@ def cmd_plot(args) -> int:
                     )
                     return EXIT_CONFIG
                 label = column if len(args.csv) == 1 else f"{path.stem}:{column}"
-                traces.append((label, table["t"], table[column]))
+                traces.append((label, ts.t, ts.column(column)))
     except (OSError, SmcLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,30 +15,23 @@ energy ``V = s^2 / 2``.
 
 The baselines record ``alpha = s`` and ``beta = 0`` so every run shares one
 output schema.
+
+Parameter sets are frozen.  The two stateful laws take their run state as an
+argument and return it advanced next to the output; :class:`Controller` is
+the only holder of that state during a run.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, SingularGainError
 
 G_MIN = 1e-9
-CONTROLLER_NAMES = ("observer-free", "classical", "super-twisting", "adaptive", "none")
-
-# Controllers that need no state beyond the measured (x, v) pair.
-OBSERVER_FREE = {
-    "observer-free": True,
-    "classical": True,
-    "super-twisting": False,
-    "adaptive": False,
-    "none": True,
-}
-
 TANH_TABLE_MIN = 64
 TANH_TABLE_SPAN = 6.0
 
@@ -98,12 +91,11 @@ class ClassicalParams:
             raise ConfigError("classical k must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperTwistingParams:
     lam_s: float = 1.0
     k1st: float = 1.5 * math.sqrt(5.0)
     k2st: float = 5.5
-    vi: float = 0.0             # integrator state, mutated during a run
 
     def __post_init__(self):
         if not (math.isfinite(self.lam_s) and self.lam_s > 0):
@@ -112,18 +104,15 @@ class SuperTwistingParams:
             raise ConfigError("super-twisting k1st must be > 0")
         if not (math.isfinite(self.k2st) and self.k2st > 0):
             raise ConfigError("super-twisting k2st must be > 0")
-        if not math.isfinite(self.vi):
-            raise ConfigError("super-twisting vi must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveParams:
     lam_s: float = 1.0
     gamma: float = 5.0          # adaptation rate
     phi: float = 0.05           # boundary layer half width
     k0: float = 1.0             # initial gain
     kmax: float = 50.0          # adaptation ceiling
-    k: float | None = None      # current gain, mutated during a run
 
     def __post_init__(self):
         if not (math.isfinite(self.lam_s) and self.lam_s > 0):
@@ -136,8 +125,6 @@ class AdaptiveParams:
             raise ConfigError("adaptive k0 must be >= 0")
         if not (math.isfinite(self.kmax) and self.kmax >= self.k0):
             raise ConfigError("adaptive kmax must be >= k0")
-        if self.k is None:
-            self.k = self.k0
 
 
 @lru_cache(maxsize=None)
@@ -196,26 +183,27 @@ def classical_smc_control(x, v, p: ClassicalParams) -> ControlOutput:
     return _out(u, s, 0.0, s)
 
 
-def super_twisting_control(x, v, dt, p: SuperTwistingParams) -> ControlOutput:
+def super_twisting_control(x, v, dt, p: SuperTwistingParams,
+                           vi: float) -> tuple[ControlOutput, float]:
     """Second-order sliding control; the integrator advances after output.
 
-    u = -k1st sqrt(|s|) sign(s) + vi, then vi <- vi - k2st sign(s) dt.
+    u = -k1st sqrt(|s|) sign(s) + vi, and the returned integrator state is
+    vi - k2st sign(s) dt.
     """
     x, v = _check_pair(x, v)
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidInputError("dt must be > 0")
     s = v + p.lam_s * x
-    u = -p.k1st * math.sqrt(abs(s)) * _sign(s) + p.vi
-    p.vi = p.vi - p.k2st * _sign(s) * dt
-    return _out(u, s, 0.0, s)
+    u = -p.k1st * math.sqrt(abs(s)) * _sign(s) + vi
+    return _out(u, s, 0.0, s), vi - p.k2st * _sign(s) * dt
 
 
-def adaptive_smc_control(x, v, dt, p: AdaptiveParams) -> ControlOutput:
+def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
+                         k: float) -> tuple[ControlOutput, float]:
     """Boundary layer control u = -k sat(s / phi) with gain adaptation.
 
-    The gain update k <- min(kmax, k + gamma |s| dt) runs after the output
-    is formed.
+    The returned gain min(kmax, k + gamma |s| dt) is formed after the output.
     """
     x, v = _check_pair(x, v)
     dt = float(dt)
@@ -223,26 +211,58 @@ def adaptive_smc_control(x, v, dt, p: AdaptiveParams) -> ControlOutput:
         raise InvalidInputError("dt must be > 0")
     s = v + p.lam_s * x
     sat = min(1.0, max(-1.0, s / p.phi))
-    u = -p.k * sat
-    p.k = min(p.kmax, p.k + p.gamma * abs(s) * dt)
-    return _out(u, s, 0.0, s)
+    u = -k * sat
+    return _out(u, s, 0.0, s), min(p.kmax, k + p.gamma * abs(s) * dt)
 
 
-PARAM_TYPES = {
-    "observer-free": ObserverFreeParams,
-    "classical": ClassicalParams,
-    "super-twisting": SuperTwistingParams,
-    "adaptive": AdaptiveParams,
-    "none": type(None),
+_ZERO = ControlOutput(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class _Law(NamedTuple):
+    params: type
+    # (params, state, x, v, g, dt) -> (ControlOutput, state)
+    step: Callable
+    # params -> state at t = 0; None for laws that keep no state
+    initial_state: Callable | None = None
+
+
+_LAWS = {
+    "observer-free": _Law(
+        ObserverFreeParams,
+        lambda p, st, x, v, g, dt: (observer_free_control(x, v, g, p), st),
+    ),
+    "classical": _Law(
+        ClassicalParams,
+        lambda p, st, x, v, g, dt: (classical_smc_control(x, v, p), st),
+    ),
+    "super-twisting": _Law(
+        SuperTwistingParams,
+        lambda p, vi, x, v, g, dt: super_twisting_control(x, v, dt, p, vi),
+        lambda p: 0.0,
+    ),
+    "adaptive": _Law(
+        AdaptiveParams,
+        lambda p, k, x, v, g, dt: adaptive_smc_control(x, v, dt, p, k),
+        lambda p: p.k0,
+    ),
+    "none": _Law(type(None), lambda p, st, x, v, g, dt: (_ZERO, st)),
 }
+CONTROLLER_NAMES = tuple(_LAWS)
 
 
 def param_type(name: str):
-    if name not in PARAM_TYPES:
+    if name not in _LAWS:
         raise ConfigError(
             f"unknown controller '{name}', expected one of {CONTROLLER_NAMES}"
         )
-    return PARAM_TYPES[name]
+    return _LAWS[name].params
+
+
+def is_observer_free(name: str) -> bool | None:
+    """True when the law needs no state beyond the measured (x, v) pair,
+    None for a name that is not a known law."""
+    law = _LAWS.get(name)
+    return None if law is None else law.initial_state is None
 
 
 def declared_input_bound(name: str, params) -> float | None:
@@ -259,31 +279,27 @@ def declared_input_bound(name: str, params) -> float | None:
 
 
 class Controller:
-    """Stateful wrapper binding one control law to one plant node.
+    """One control law bound to one plant node, holding its run state.
 
-    Mutable parameter sets are copied at construction so repeated runs from
-    the same scenario never share integrator or adaptation state.
+    Parameters are frozen and may be shared between nodes and runs; each
+    controller starts from the law's initial state.
     """
 
     def __init__(self, name: str, params=None):
         cls = param_type(name)
-        if params is None and name != "none":
+        if params is None:
             params = cls()
-        if name != "none" and not isinstance(params, cls):
+        if not isinstance(params, cls):
             raise ConfigError(f"controller '{name}' expects {cls.__name__} parameters")
+        law = _LAWS[name]
         self.name = name
-        self.params = replace(params) if name in ("super-twisting", "adaptive") else params
+        self.params = params
+        self.state = None if law.initial_state is None else law.initial_state(params)
+        self._law = law.step
 
     def step(self, x, v, g_val, dt) -> ControlOutput:
-        if self.name == "observer-free":
-            return observer_free_control(x, v, g_val, self.params)
-        if self.name == "classical":
-            return classical_smc_control(x, v, self.params)
-        if self.name == "super-twisting":
-            return super_twisting_control(x, v, dt, self.params)
-        if self.name == "adaptive":
-            return adaptive_smc_control(x, v, dt, self.params)
-        return ControlOutput(0.0, 0.0, 0.0, 0.0, 0.0)
+        out, self.state = self._law(self.params, self.state, x, v, g_val, dt)
+        return out
 
 
 def make_controller(name: str, params=None) -> Controller:

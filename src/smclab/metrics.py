@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .controllers import OBSERVER_FREE
+from .controllers import is_observer_free
 from .errors import InvalidInputError
 
 LYAP_RISE_TOL = 1e-9
@@ -307,6 +307,8 @@ def comparison_matrix(
     ``delayed`` carries reports from tau = 10 ms reruns and feeds the
     DelayTolerant row; ``input_bounds`` maps controller names to their
     declared |u| bound (None = no a priori bound, row left informational).
+    A diverged run is False on every measured row, and a diverged delayed
+    rerun is False on DelayTolerant.
     """
     if len(reports) < 2:
         raise InvalidInputError("comparison needs at least two controllers")
@@ -323,27 +325,30 @@ def comparison_matrix(
 
     for name in controllers:
         rep = reports[name]
-        cells["NoChattering"][name] = rep.chattering_index < chatter_limit
+        ok = not rep.diverged
+        cells["NoChattering"][name] = ok and rep.chattering_index < chatter_limit
         measured["NoChattering"][name] = rep.chattering_index
 
-        cells["ObserverFree"][name] = OBSERVER_FREE.get(name)
+        cells["ObserverFree"][name] = is_observer_free(name)
         measured["ObserverFree"][name] = None
 
         bound = input_bounds.get(name)
         cells["BoundedInput"][name] = (
-            None if bound is None else rep.max_abs_u <= bound + 1e-12
+            (None if bound is None else rep.max_abs_u <= bound + 1e-12)
+            if ok else False
         )
         measured["BoundedInput"][name] = rep.max_abs_u
 
         drep = delayed.get(name)
         cells["DelayTolerant"][name] = (
-            None if drep is None else drep.settling_time is not None
+            None if drep is None
+            else not drep.diverged and drep.settling_time is not None
         )
         measured["DelayTolerant"][name] = (
             None if drep is None else drep.settling_time
         )
 
-        cells["Smoothness"][name] = rep.max_slew < thresholds.slew_max
+        cells["Smoothness"][name] = ok and rep.max_slew < thresholds.slew_max
         measured["Smoothness"][name] = rep.max_slew
 
     return ComparisonMatrix(controllers=controllers, cells=cells, measured=measured)

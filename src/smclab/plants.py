@@ -8,9 +8,9 @@ Four plants are shipped, selectable by name in scenario files:
 * ``network5``   ring of diffusively coupled pendulums, one input per node
 
 State vectors are flat and interleaved, ``[x_1, v_1, ..., x_N, v_N]``.
-Dynamics evaluators are pure functions.  The input gain of every shipped
-plant is the constant ``b``, but the :class:`PlantModel` interface accepts
-state-dependent gains; ``|g| >= 1e-9`` is enforced at evaluation time.
+The drift is a pure function of the state.  The input gain is a constant
+per-node vector (``b`` for every shipped plant), checked for ``|g| >= 1e-9``
+once, when a :class:`PlantModel` is built.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SingularGainError
+from .errors import ConfigError, SingularGainError
 
 G_MIN = 1e-9
 PLANT_NAMES = ("pendulum", "vdp", "duffing", "network5")
@@ -28,17 +28,6 @@ TOPOLOGIES = ("ring", "chain")
 
 def _finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
-
-
-def _check_state(state, n_nodes: int) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    if state.shape != (2 * n_nodes,):
-        raise InvalidInputError(
-            f"state must have shape ({2 * n_nodes},), got {state.shape}"
-        )
-    if not _finite(state):
-        raise InvalidInputError("state contains non-finite entries")
-    return state
 
 
 @dataclass(frozen=True)
@@ -137,84 +126,37 @@ def _assemble(state: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_u_scalar(u) -> float:
-    u = float(u)
-    if not np.isfinite(u):
-        raise InvalidInputError("control input must be finite")
-    return u
-
-
-def pendulum_dynamics(state, u, p: PendulumParams = PendulumParams()) -> np.ndarray:
-    """Full state derivative [v, a sin(x) - c v + b u]."""
-    state = _check_state(state, 1)
-    u = _check_u_scalar(u)
-    acc = _pendulum_drift(state[0], state[1], p) + p.b * u
-    return np.array([state[1], acc])
-
-
-def vdp_dynamics(state, u, p: VanDerPolParams = VanDerPolParams()) -> np.ndarray:
-    """Full state derivative [v, mu (1 - x^2) v - x + b u]."""
-    state = _check_state(state, 1)
-    u = _check_u_scalar(u)
-    acc = _vdp_drift(state[0], state[1], p) + p.b * u
-    return np.array([state[1], acc])
-
-
-def duffing_dynamics(state, u, p: DuffingParams = DuffingParams()) -> np.ndarray:
-    """Full state derivative [v, lin x + cub x^3 - delta v + b u]."""
-    state = _check_state(state, 1)
-    u = _check_u_scalar(u)
-    acc = _duffing_drift(state[0], state[1], p) + p.b * u
-    return np.array([state[1], acc])
-
-
-def network_dynamics(state, u, p: NetworkParams = NetworkParams()) -> np.ndarray:
-    """Per-node pendulum dynamics plus diffusive position coupling.
-
-    ``u`` must supply one control value per node.
-    """
-    state = _check_state(state, p.n)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (p.n,):
-        raise InvalidInputError(f"u must have shape ({p.n},), got {u.shape}")
-    if not _finite(u):
-        raise InvalidInputError("control input contains non-finite entries")
-    x = state[0::2]
-    v = state[1::2]
-    acc = _network_drift(x, v, p) + p.node.b * u
-    return _assemble(state, acc)
-
-
 @dataclass(frozen=True)
 class PlantModel:
     """Uniform plant interface used by the simulator.
 
     ``f(state, t)`` returns the per-node drift acceleration (length N) and
-    ``g(state)`` the per-node input gain (length N).  ``constant_gain``
-    marks gains already validated at construction, letting the integrator
-    skip the singularity re-check on every stage evaluation.
+    ``g`` is the constant per-node input gain (length N), read-only after
+    construction.
     """
 
     name: str
     n_nodes: int
     params: object
     f: Callable[[np.ndarray, float], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    constant_gain: bool = False
+    g: np.ndarray
+
+    def __post_init__(self):
+        g = np.array(self.g, dtype=float)
+        if g.shape != (self.n_nodes,):
+            raise ConfigError(f"plant '{self.name}': g must have shape ({self.n_nodes},)")
+        if not np.all(np.abs(g) >= G_MIN):
+            raise SingularGainError(f"plant '{self.name}': |g| must be >= {G_MIN:g}")
+        g.setflags(write=False)
+        object.__setattr__(self, "g", g)
 
     def gain(self, state) -> np.ndarray:
-        gv = np.asarray(self.g(state), dtype=float)
-        if not self.constant_gain and np.any(np.abs(gv) < G_MIN):
-            raise SingularGainError(
-                f"plant '{self.name}': |g| fell below {G_MIN:g}"
-            )
-        return gv
+        return self.g
 
     def derivative(self, state, t, u, d=0.0) -> np.ndarray:
         """Closed-loop derivative for held control u and disturbance d."""
         state = np.asarray(state, dtype=float)
-        g = self.g(state) if self.constant_gain else self.gain(state)
-        acc = self.f(state, t) + g * u + d
+        acc = self.f(state, t) + self.g * u + d
         return _assemble(state, acc)
 
 
@@ -248,11 +190,4 @@ def make_plant(name: str, params=None) -> PlantModel:
         n, drift, b = 1, lambda s, t: _duffing_drift(s[0::2], s[1::2], params), params.b
     else:
         n, drift, b = params.n, lambda s, t: _network_drift(s[0::2], s[1::2], params), params.node.b
-
-    if abs(float(b)) < G_MIN:
-        raise SingularGainError(f"plant '{name}': |b| must be >= {G_MIN:g}")
-    g_const = np.full(n, float(b))
-    return PlantModel(
-        name=name, n_nodes=n, params=params, f=drift,
-        g=lambda s: g_const, constant_gain=True,
-    )
+    return PlantModel(name=name, n_nodes=n, params=params, f=drift, g=np.full(n, float(b)))

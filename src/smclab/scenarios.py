@@ -47,8 +47,6 @@ _INT_FIELDS = {"n", "seed", "record_stride", "tanh_table_size"}
 # JSON key aliases for reserved or awkward Python names
 _ALIASES = {"lambda": "lam"}
 _ALIASES_BACK = {"lam": "lambda"}
-# per-run mutable state, never serialized
-_RUN_STATE_FIELDS = {"vi", "k"}
 
 
 @dataclass
@@ -92,7 +90,7 @@ class Scenario:
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
-            "plant": {"name": self.plant, **_plant_params_to_dict(self.plant_params)},
+            "plant": {"name": self.plant, **dataclasses.asdict(self.plant_params)},
             "controller": ctrl_entries[0] if homogeneous else ctrl_entries,
             "x0": list(self.x0),
             "sim": dataclasses.asdict(self.sim),
@@ -109,32 +107,17 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _plant_params_to_dict(params) -> dict:
-    table = dataclasses.asdict(params)
-    return table
-
-
 def _params_to_dict(name: str, params) -> dict:
     entry = {"name": name}
     if params is None:
         return entry
     for f in dataclasses.fields(params):
-        if f.name in _RUN_STATE_FIELDS:
-            continue
         entry[_ALIASES_BACK.get(f.name, f.name)] = getattr(params, f.name)
     return entry
 
 
-def serialize(scenario: Scenario) -> dict:
-    return scenario.to_dict()
-
-
-def parse(raw: dict) -> Scenario:
-    return validate(raw)
-
-
 def load_scenario(path) -> Scenario:
-    with open(path, "r") as f:
+    with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     return validate(raw)
 
@@ -280,12 +263,7 @@ def validate(raw) -> Scenario:
         parsed = _parse_controller_entry(ctrl_raw, "controller", errors)
         if parsed is not None and n_nodes is not None:
             ctrl_names = [parsed[0]] * n_nodes
-            # one independent params instance per node, laws may be stateful
-            ctrl_params = [
-                parsed[1] if parsed[1] is None or i == 0
-                else dataclasses.replace(parsed[1])
-                for i in range(n_nodes)
-            ]
+            ctrl_params = [parsed[1]] * n_nodes
 
     x0_raw = raw.get("x0")
     x0: tuple[float, ...] = ()
@@ -363,13 +341,7 @@ def _network_x0(n: int = 5, seed: int = 42) -> tuple[float, ...]:
 def _default_controller(name: str, lam: float):
     if name == "observer-free":
         return controllers.ObserverFreeParams(k1=1.0, lam=lam)
-    if name == "classical":
-        return controllers.ClassicalParams()
-    if name == "super-twisting":
-        return controllers.SuperTwistingParams()
-    if name == "adaptive":
-        return controllers.AdaptiveParams()
-    return None
+    return controllers.param_type(name)()
 
 
 _BASELINE_ORDER = ("classical", "super-twisting", "adaptive", "observer-free")
@@ -455,9 +427,6 @@ def _delayed_variant(sc: Scenario) -> Scenario:
         sc,
         name=sc.name + "+delay10ms",
         delay=sim.DelaySpec(tau=DELAY_PROBE_TAU),
-        controller_params=tuple(
-            p if p is None else dataclasses.replace(p) for p in sc.controller_params
-        ),
         matrix_group="",
     )
 
@@ -524,7 +493,6 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         if ts.diverged:
             failures[name] = f"diverged at t={ts.diverged_at:.6g} s"
 
-    by_name = {sc.name: sc for sc in suite}
     for name in sorted(runs):
         runs[name][0].write_csv(out_dir / f"{name}.csv")
 

@@ -163,24 +163,6 @@ class LowPassDifferentiator:
         return self._y
 
 
-def estimate_derivative(x_history, dt: float, cutoff_hz: float) -> float:
-    """Filtered derivative estimate from the latest position samples.
-
-    Equivalent to streaming the full history through a fresh
-    :class:`LowPassDifferentiator` and keeping the last output.
-    """
-    hist = np.asarray(x_history, dtype=float)
-    if hist.ndim != 1 or hist.shape[0] < 2:
-        raise InvalidInputError("need at least two position samples")
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
-    filt = LowPassDifferentiator(cutoff_hz, dt)
-    out = 0.0
-    for x in hist:
-        out = filt.update(float(x))
-    return out
-
-
 def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
     """One classic Runge-Kutta 4 step of ``state' = deriv(state, t)``."""
     if not (math.isfinite(dt) and dt > 0):
@@ -230,10 +212,14 @@ class TimeSeries:
         return self.t.shape[0]
 
     def column_names(self) -> list[str]:
+        return self._layout(self.n_nodes)
+
+    @classmethod
+    def _layout(cls, n_nodes: int) -> list[str]:
         names = ["t"]
-        for i in range(self.n_nodes):
-            suffix = "" if self.n_nodes == 1 else str(i + 1)
-            names.extend(f"{base}{suffix}" for base in self._PER_NODE)
+        for i in range(n_nodes):
+            suffix = "" if n_nodes == 1 else str(i + 1)
+            names.extend(f"{base}{suffix}" for base in cls._PER_NODE)
         names.append("d")
         return names
 
@@ -264,25 +250,40 @@ class TimeSeries:
 
     @classmethod
     def read_csv(cls, path) -> "TimeSeries":
-        diverged = False
-        diverged_at = None
-        with open(path, "r", newline="") as f:
-            lines = f.read().splitlines()
+        """Read a run CSV written by :meth:`write_csv`, bit for bit.
+
+        Raises InvalidInputError for undecodable bytes, a header that is
+        not a run layout, or a malformed body.
+        """
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as f:
+                lines = f.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not a UTF-8 text file: {exc}") from None
+        comments = []
         while lines and lines[0].startswith("#"):
-            head = lines.pop(0)
-            if head.startswith("# diverged_at="):
-                diverged = True
-                diverged_at = float(head.split("=", 1)[1])
+            comments.append(lines.pop(0))
         if not lines:
             raise InvalidInputError(f"{path}: empty CSV")
         names = lines[0].split(",")
-        data = np.array(
-            [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-        )
+        per = len(cls._PER_NODE)
+        n_nodes, rest = divmod(len(names) - 2, per)
+        if rest or n_nodes < 1 or names != cls._layout(n_nodes):
+            raise InvalidInputError(f"{path}: header is not a run CSV layout")
+        diverged = False
+        diverged_at = None
+        try:
+            for head in comments:
+                if head.startswith("# diverged_at="):
+                    diverged = True
+                    diverged_at = float(head.split("=", 1)[1])
+            data = np.array(
+                [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+            )
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed CSV: {exc}") from None
         if data.ndim != 2 or data.shape[1] != len(names):
             raise InvalidInputError(f"{path}: malformed CSV body")
-        n_nodes = (len(names) - 2) // len(cls._PER_NODE)
-        per = len(cls._PER_NODE)
         fields = {
             base: np.stack(
                 [data[:, 1 + i * per + j] for i in range(n_nodes)], axis=1

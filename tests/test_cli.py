@@ -81,6 +81,36 @@ def test_run_scenario_from_json_file(tmp_path):
     assert (tmp_path / "out" / "my_case.csv").exists()
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_run_directory_is_config_error(tmp_path, capsys):
+    code = main(["run", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "cannot read" in _one_line_error(capsys)
+
+
+def test_run_non_utf8_file_is_config_error(tmp_path, capsys):
+    sc_path = tmp_path / "latin1.json"
+    sc_path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code = main(["run", str(sc_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "cannot read" in _one_line_error(capsys)
+
+
+def test_run_override_on_non_object_document(tmp_path, capsys):
+    sc_path = tmp_path / "list.json"
+    sc_path.write_text("[1]")
+    code = main(["run", str(sc_path), "--set", "name=x",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "not a JSON object" in _one_line_error(capsys)
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     sc_path = tmp_path / "blowup.json"
     sc_path.write_text(json.dumps(BLOWUP))
@@ -175,6 +205,14 @@ def test_plot_missing_file(tmp_path, capsys):
     code = main(["plot", str(tmp_path / "absent.csv"), "--columns", "x"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_plot_non_utf8_csv_is_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfet,x\n0.0,1.0\n")
+    code = main(["plot", str(path), "--columns", "x"])
+    assert code == 2
+    assert "not a UTF-8 text file" in _one_line_error(capsys)
 
 
 def test_plot_empty_columns(fig1_csv, capsys):

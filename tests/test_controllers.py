@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smclab import controllers
 from smclab.controllers import (
@@ -70,46 +72,46 @@ def test_classical_records_uniform_schema():
 
 def test_super_twisting_rest():
     p = SuperTwistingParams()
-    out = super_twisting_control(0.0, 0.0, 1e-3, p)
+    out, vi = super_twisting_control(0.0, 0.0, 1e-3, p, 0.0)
     assert out.u == 0.0
-    assert p.vi == 0.0
+    assert vi == 0.0
 
 
 def test_super_twisting_sqrt_law():
     p = SuperTwistingParams(lam_s=1.0, k1st=1.0, k2st=1.0)
-    out = super_twisting_control(4.0, 0.0, 1e-3, p)
+    out, _ = super_twisting_control(4.0, 0.0, 1e-3, p, 0.0)
     assert out.u == -2.0  # sqrt(4) = 2
 
 
 def test_super_twisting_integrator_step():
-    p = SuperTwistingParams(lam_s=1.0, k1st=1.0, k2st=1.0, vi=0.0)
-    super_twisting_control(1.0, 0.0, 0.1, p)  # s = 1 > 0
-    assert p.vi == -0.1
+    p = SuperTwistingParams(lam_s=1.0, k1st=1.0, k2st=1.0)
+    _, vi = super_twisting_control(1.0, 0.0, 0.1, p, 0.0)  # s = 1 > 0
+    assert vi == -0.1
 
 
 def test_adaptive_stalls_at_origin():
     p = AdaptiveParams(k0=1.0)
-    out = adaptive_smc_control(0.0, 0.0, 1e-3, p)
+    out, k = adaptive_smc_control(0.0, 0.0, 1e-3, p, p.k0)
     assert out.u == 0.0
-    assert p.k == 1.0
+    assert k == 1.0
 
 
 def test_adaptive_saturated_branch():
     p = AdaptiveParams(lam_s=1.0, phi=0.5, k0=1.0)
-    out = adaptive_smc_control(1.0, 0.0, 1e-3, p)
+    out, _ = adaptive_smc_control(1.0, 0.0, 1e-3, p, p.k0)
     assert out.u == -1.0  # sat(1/0.5) clamps to 1
 
 
 def test_adaptive_gain_update():
     p = AdaptiveParams(lam_s=1.0, gamma=2.0, phi=0.5, k0=1.0, kmax=10.0)
-    adaptive_smc_control(1.0, 0.0, 0.01, p)  # |s| = 1
-    assert abs(p.k - 1.02) < 1e-15
+    _, k = adaptive_smc_control(1.0, 0.0, 0.01, p, p.k0)  # |s| = 1
+    assert abs(k - 1.02) < 1e-15
 
 
 def test_adaptive_gain_ceiling():
     p = AdaptiveParams(lam_s=1.0, gamma=1e6, phi=0.5, k0=1.0, kmax=10.0)
-    adaptive_smc_control(1.0, 0.0, 0.1, p)
-    assert p.k == 10.0
+    _, k = adaptive_smc_control(1.0, 0.0, 0.1, p, p.k0)
+    assert k == 10.0
 
 
 def test_tanh_fast_zero_is_exact():
@@ -233,17 +235,20 @@ def test_control_output_energy_identity():
 
 
 def test_stateful_params_are_isolated():
-    a = SuperTwistingParams()
-    b = SuperTwistingParams()
-    super_twisting_control(1.0, 0.0, 0.1, a)
-    assert a.vi != 0.0 and b.vi == 0.0
+    # controllers sharing one frozen params instance keep separate state
+    p = SuperTwistingParams()
+    a = make_controller("super-twisting", p)
+    b = make_controller("super-twisting", p)
+    a.step(1.0, 0.0, 1.0, 0.1)
+    assert a.state != 0.0 and b.state == 0.0
 
     template = AdaptiveParams(k0=2.0)
     ctrl = make_controller("adaptive", template)
     for _ in range(100):
         ctrl.step(1.0, 0.0, 1.0, 1e-3)
-    assert template.k == 2.0  # wrapper stepped a private copy
-    assert ctrl.params.k > 2.0
+    assert ctrl.state > 2.0
+    assert template.k0 == 2.0
+    assert make_controller("adaptive", template).state == 2.0
 
 
 def test_pure_params_are_frozen():
@@ -251,6 +256,10 @@ def test_pure_params_are_frozen():
         ObserverFreeParams().k1 = 2.0
     with pytest.raises(FrozenInstanceError):
         ClassicalParams().k = 1.0
+    with pytest.raises(FrozenInstanceError):
+        SuperTwistingParams().k2st = 1.0
+    with pytest.raises(FrozenInstanceError):
+        AdaptiveParams().k0 = 1.0
 
 
 def test_declared_input_bounds():
@@ -271,7 +280,63 @@ def test_make_controller_validation():
 
 
 def test_observer_free_attribute_map():
-    assert controllers.OBSERVER_FREE["observer-free"] is True
-    assert controllers.OBSERVER_FREE["classical"] is True
-    assert controllers.OBSERVER_FREE["super-twisting"] is False
-    assert controllers.OBSERVER_FREE["adaptive"] is False
+    # derived from whether a law keeps run state
+    derived = {name: controllers.is_observer_free(name)
+               for name in controllers.CONTROLLER_NAMES}
+    assert derived == {
+        "observer-free": True,
+        "classical": True,
+        "super-twisting": False,
+        "adaptive": False,
+        "none": True,
+    }
+    assert controllers.is_observer_free("pid") is None
+
+
+# ------------------------------------------------------------- properties
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+gains = st.floats(min_value=1e-9, max_value=1e9) | st.floats(min_value=-1e9, max_value=-1e-9)
+measured_pairs = st.lists(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=50
+)
+
+
+@given(x=finite, v=finite, g=gains, lam=st.floats(1e-3, 1e3),
+       table=st.sampled_from([0, 64, 1024]))
+def test_property_observer_free_input_bound(x, v, g, lam, table):
+    p = ObserverFreeParams(k1=1.0, lam=lam, tanh_table_size=table)
+    assert abs(observer_free_control(x, v, g, p).u) <= lam
+
+
+@given(x=finite, v=finite, g=st.floats(min_value=1e-9, max_value=1e9),
+       k1=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e3))
+def test_property_sign_of_s_follows_alpha(x, v, g, k1, lam):
+    out = observer_free_control(x, v, g, ObserverFreeParams(k1=k1, lam=lam))
+    assert np.sign(out.s) == np.sign(out.alpha)
+
+
+@given(pairs=measured_pairs, k0=st.floats(0.0, 10.0), span=st.floats(0.0, 100.0),
+       gamma=st.floats(0.0, 1e3), dt=st.floats(1e-6, 0.1))
+def test_property_adaptive_gain_monotone_and_bounded(pairs, k0, span, gamma, dt):
+    p = AdaptiveParams(gamma=gamma, k0=k0, kmax=k0 + span)
+    k = p.k0
+    for x, v in pairs:
+        _, k_next = adaptive_smc_control(x, v, dt, p, k)
+        assert k <= k_next
+        assert p.k0 <= k_next <= p.kmax
+        k = k_next
+
+
+@given(pairs=measured_pairs, g=gains, dt=st.floats(1e-6, 0.1))
+def test_property_controller_equals_threaded_state(pairs, g, dt):
+    laws = {
+        "super-twisting": (SuperTwistingParams(), super_twisting_control, 0.0),
+        "adaptive": (AdaptiveParams(k0=2.0), adaptive_smc_control, 2.0),
+    }
+    for name, (p, law, state) in laws.items():
+        ctrl = make_controller(name, p)
+        for x, v in pairs:
+            out, state = law(x, v, dt, p, state)
+            assert ctrl.step(x, v, g, dt) == out
+        assert ctrl.state == state

@@ -223,6 +223,28 @@ def test_comparison_matrix_delay_failure_is_false():
     assert m.verdict("DelayTolerant", "classical") is False
 
 
+def test_comparison_matrix_diverged_run_never_earns_yes():
+    # the measured numbers of a diverged run would pass every threshold
+    reports = {
+        "adaptive": _report(diverged=True),
+        "observer-free": _report(diverged=True),
+        "super-twisting": _report(),
+    }
+    delayed = {"observer-free": _report(diverged=True),
+               "super-twisting": _report()}
+    m = comparison_matrix(reports, delayed=delayed,
+                          input_bounds={"adaptive": 50.0, "observer-free": 5.0})
+    for name in ("adaptive", "observer-free"):
+        for prop in ("NoChattering", "BoundedInput", "Smoothness"):
+            assert m.verdict(prop, name) is False, (prop, name)
+    assert m.verdict("DelayTolerant", "observer-free") is False
+    assert m.verdict("DelayTolerant", "super-twisting") is True
+    assert m.verdict("NoChattering", "super-twisting") is True
+    # structural, not measured
+    assert m.verdict("ObserverFree", "observer-free") is True
+    assert m.verdict("ObserverFree", "adaptive") is False
+
+
 def test_comparison_matrix_requires_two_controllers():
     with pytest.raises(InvalidInputError):
         comparison_matrix({"observer-free": _report()})

@@ -5,78 +5,79 @@ import numpy as np
 import pytest
 
 from smclab import plants
-from smclab.errors import ConfigError, InvalidInputError, SingularGainError
+from smclab.errors import ConfigError, SingularGainError
 from smclab.plants import (
     DuffingParams,
     NetworkParams,
     PendulumParams,
     VanDerPolParams,
-    duffing_dynamics,
     make_plant,
-    network_dynamics,
-    pendulum_dynamics,
-    vdp_dynamics,
 )
+
+
+def deriv(name, state, u, p):
+    """State derivative of a named plant at t = 0, no disturbance."""
+    return make_plant(name, p).derivative(state, 0.0, u)
 
 
 def test_pendulum_equilibrium():
     p = PendulumParams(a=1.0, c=0.0, b=1.0)
-    out = pendulum_dynamics([0.0, 0.0], 0.0, p)
+    out = deriv("pendulum", [0.0, 0.0], 0.0, p)
     assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_pendulum_gravity_term():
     # sin(pi/2) = 1, no damping, no input
     p = PendulumParams(a=1.0, c=0.0, b=1.0)
-    out = pendulum_dynamics([math.pi / 2, 0.0], 0.0, p)
+    out = deriv("pendulum", [math.pi / 2, 0.0], 0.0, p)
     assert out[0] == 0.0
     assert abs(out[1] - 1.0) < 1e-15
 
 
 def test_pendulum_pure_input_channel():
     p = PendulumParams(a=1.0, c=0.0, b=1.0)
-    out = pendulum_dynamics([0.0, 0.0], 2.0, p)
+    out = deriv("pendulum", [0.0, 0.0], 2.0, p)
     assert np.array_equal(out, [0.0, 2.0])
 
 
 def test_vdp_origin_equilibrium():
-    out = vdp_dynamics([0.0, 0.0], 0.0, VanDerPolParams(mu=1.0))
+    out = deriv("vdp", [0.0, 0.0], 0.0, VanDerPolParams(mu=1.0))
     assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_vdp_on_unit_circle():
     # mu(1 - 1)*1 - 1 = -1
-    out = vdp_dynamics([1.0, 1.0], 0.0, VanDerPolParams(mu=1.0))
+    out = deriv("vdp", [1.0, 1.0], 0.0, VanDerPolParams(mu=1.0))
     assert np.array_equal(out, [1.0, -1.0])
 
 
 def test_vdp_damping_term():
     # 2*(1 - 0)*1 - 0 = 2
-    out = vdp_dynamics([0.0, 1.0], 0.0, VanDerPolParams(mu=2.0))
+    out = deriv("vdp", [0.0, 1.0], 0.0, VanDerPolParams(mu=2.0))
     assert np.array_equal(out, [1.0, 2.0])
 
 
 def test_duffing_double_well_equilibrium():
     p = DuffingParams(lin=1.0, cub=-1.0, delta=0.2)
-    out = duffing_dynamics([1.0, 0.0], 0.0, p)
+    out = deriv("duffing", [1.0, 0.0], 0.0, p)
     assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_duffing_unstable_origin():
-    out = duffing_dynamics([0.0, 0.0], 0.0, DuffingParams())
+    out = deriv("duffing", [0.0, 0.0], 0.0, DuffingParams())
     assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_duffing_cubic_term():
     # 2 - 8 = -6
     p = DuffingParams(lin=1.0, cub=-1.0, delta=0.2)
-    out = duffing_dynamics([2.0, 0.0], 0.0, p)
+    out = deriv("duffing", [2.0, 0.0], 0.0, p)
     assert np.array_equal(out, [0.0, -6.0])
 
 
 def test_network_synchronized_equilibrium():
     p = NetworkParams()
-    out = network_dynamics(np.zeros(2 * p.n), np.zeros(p.n), p)
+    out = deriv("network5", np.zeros(2 * p.n), np.zeros(p.n), p)
     assert np.array_equal(out, np.zeros(2 * p.n))
 
 
@@ -84,7 +85,7 @@ def test_network_two_node_chain_diffusion():
     # positions (0, 1), no gravity: accelerations are +-kappa * 1
     p = NetworkParams(n=2, kappa=0.5, topology="chain",
                       node=PendulumParams(a=0.0, c=0.1, b=1.0))
-    out = network_dynamics([0.0, 0.0, 1.0, 0.0], [0.0, 0.0], p)
+    out = deriv("network5", [0.0, 0.0, 1.0, 0.0], [0.0, 0.0], p)
     assert np.array_equal(out, [0.0, 0.5, 0.0, -0.5])
 
 
@@ -92,8 +93,8 @@ def test_network_identical_states_no_coupling():
     # coupling vanishes at synchrony regardless of kappa
     p = NetworkParams(n=5, kappa=3.7, topology="ring")
     state = np.tile([0.7, -0.2], 5)
-    out = network_dynamics(state, np.zeros(5), p)
-    single = pendulum_dynamics([0.7, -0.2], 0.0, p.node)
+    out = deriv("network5", state, np.zeros(5), p)
+    single = deriv("pendulum", [0.7, -0.2], 0.0, p.node)
     for i in range(5):
         assert np.array_equal(out[2 * i:2 * i + 2], single)
 
@@ -103,9 +104,9 @@ def test_network_kappa_zero_matches_independent_pendulums():
     state = rng.uniform(-2.0, 2.0, 10)
     u = rng.uniform(-1.0, 1.0, 5)
     p = NetworkParams(n=5, kappa=0.0, topology="ring")
-    out = network_dynamics(state, u, p)
+    out = deriv("network5", state, u, p)
     for i in range(5):
-        expected = pendulum_dynamics(state[2 * i:2 * i + 2], float(u[i]), p.node)
+        expected = deriv("pendulum", state[2 * i:2 * i + 2], float(u[i]), p.node)
         assert np.array_equal(out[2 * i:2 * i + 2], expected)
 
 
@@ -115,8 +116,8 @@ def test_network_coupling_sums_to_zero(topology):
     state = rng.uniform(-1.5, 1.5, 10)
     p = NetworkParams(n=5, kappa=0.8, topology=topology)
     p0 = NetworkParams(n=5, kappa=0.0, topology=topology)
-    coupled = network_dynamics(state, np.zeros(5), p)
-    free = network_dynamics(state, np.zeros(5), p0)
+    coupled = deriv("network5", state, np.zeros(5), p)
+    free = deriv("network5", state, np.zeros(5), p0)
     coupling = (coupled - free)[1::2]
     assert abs(coupling.sum()) < 1e-12
 
@@ -124,30 +125,9 @@ def test_network_coupling_sums_to_zero(topology):
 def test_dynamics_are_pure():
     rng = np.random.default_rng(17)
     state = rng.uniform(-1.0, 1.0, 2)
-    a = vdp_dynamics(state, 0.3, VanDerPolParams())
-    b = vdp_dynamics(state, 0.3, VanDerPolParams())
+    a = deriv("vdp", state, 0.3, VanDerPolParams())
+    b = deriv("vdp", state, 0.3, VanDerPolParams())
     assert np.array_equal(a, b)
-
-
-def test_non_finite_state_rejected():
-    with pytest.raises(InvalidInputError):
-        pendulum_dynamics([np.nan, 0.0], 0.0, PendulumParams())
-    with pytest.raises(InvalidInputError):
-        duffing_dynamics([0.0, np.inf], 0.0, DuffingParams())
-
-
-def test_wrong_dimensions_rejected():
-    with pytest.raises(InvalidInputError):
-        pendulum_dynamics([0.0, 0.0, 0.0], 0.0, PendulumParams())
-    with pytest.raises(InvalidInputError):
-        network_dynamics(np.zeros(10), np.zeros(4), NetworkParams())
-    with pytest.raises(InvalidInputError):
-        network_dynamics(np.zeros(8), np.zeros(5), NetworkParams())
-
-
-def test_non_finite_control_rejected():
-    with pytest.raises(InvalidInputError):
-        network_dynamics(np.zeros(10), [0.0, 0.0, np.nan, 0.0, 0.0], NetworkParams())
 
 
 def test_param_validation():
@@ -183,35 +163,22 @@ def test_make_plant_rejects_vanishing_gain():
         make_plant("pendulum", PendulumParams(b=1e-12))
 
 
-def test_plant_model_matches_public_dynamics():
-    rng = np.random.default_rng(19)
-    cases = [
-        ("pendulum", PendulumParams(), pendulum_dynamics, 1),
-        ("vdp", VanDerPolParams(), vdp_dynamics, 1),
-        ("duffing", DuffingParams(), duffing_dynamics, 1),
-        ("network5", NetworkParams(), network_dynamics, 5),
-    ]
-    for name, params, reference, n in cases:
-        model = make_plant(name, params)
-        state = rng.uniform(-1.0, 1.0, 2 * n)
-        u = rng.uniform(-2.0, 2.0, n)
-        got = model.derivative(state, 0.0, u if n > 1 else float(u[0]))
-        want = reference(state, u if n > 1 else float(u[0]), params)
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
+def test_gain_checked_at_construction():
+    # a hand-built model gets the same singularity check as make_plant
+    def build(g):
+        return plants.PlantModel(
+            name="custom", n_nodes=2, params=None,
+            f=lambda s, t: np.zeros(2), g=g,
+        )
 
-
-def test_gain_runtime_check_for_state_dependent_g():
-    # custom model with a gain that crosses the singularity threshold
-    model = plants.PlantModel(
-        name="custom", n_nodes=1, params=None,
-        f=lambda s, t: np.zeros(1),
-        g=lambda s: np.array([s[0]]),
-    )
-    assert model.gain([2.0, 0.0])[0] == 2.0
-    with pytest.raises(SingularGainError):
-        model.gain([0.0, 0.0])
-    with pytest.raises(SingularGainError):
-        model.derivative([1e-12, 0.0], 0.0, 1.0)
+    assert np.array_equal(build([2.0, -1.0]).gain(np.zeros(4)), [2.0, -1.0])
+    for g in ([2.0, 0.0], [1e-12, 1.0], [np.nan, 1.0]):
+        with pytest.raises(SingularGainError):
+            build(g)
+    with pytest.raises(ConfigError):
+        build([1.0])
+    with pytest.raises(ValueError):
+        build([1.0, 1.0]).g[0] = 0.0  # read-only once checked
 
 
 def test_disturbance_enters_acceleration_channel():

@@ -1,18 +1,17 @@
 """Scenario schema, validation, the built-in suite, and the batch driver."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from smclab import scenarios, sim
+from smclab import controllers, scenarios, sim
 from smclab.errors import ScenarioValidationError
 from smclab.scenarios import (
     builtin_suite,
     load_scenario,
-    parse,
     run_key,
     run_suite,
-    serialize,
     validate,
 )
 
@@ -99,6 +98,13 @@ def test_unknown_controller_parameter():
     raw["controller"]["slope"] = 2.0
     with pytest.raises(ScenarioValidationError, match="unknown parameter"):
         validate(raw)
+    # run state is not a parameter: the integrator and the adaptive gain
+    # always start from 0 and k0
+    for entry in ({"name": "super-twisting", "vi": 0.5},
+                  {"name": "adaptive", "k": 2.0}):
+        raw["controller"] = entry
+        with pytest.raises(ScenarioValidationError, match="unknown parameter"):
+            validate(raw)
 
 
 def test_x0_length_checked_against_plant():
@@ -112,12 +118,26 @@ def test_x0_length_checked_against_plant():
 
 def test_every_builtin_round_trips():
     for sc in builtin_suite():
-        assert parse(serialize(sc)) == sc
+        assert validate(sc.to_dict()) == sc
 
 
 def test_json_round_trip_is_loss_free():
-    for sc in builtin_suite():
-        assert parse(json.loads(sc.to_json())) == sc
+    fig1 = _suite_by_name()["fig1_pendulum_observer_free"]
+    tuned = {
+        "observer-free": controllers.ObserverFreeParams(k1=0.7, lam=3.5,
+                                                        tanh_table_size=256),
+        "classical": controllers.ClassicalParams(lam_s=1.5, k=2.0),
+        "super-twisting": controllers.SuperTwistingParams(lam_s=0.8, k1st=2.5, k2st=4.0),
+        "adaptive": controllers.AdaptiveParams(lam_s=1.2, gamma=3.0, phi=0.1,
+                                               k0=2.0, kmax=20.0),
+    }
+    variants = [
+        dataclasses.replace(fig1, name=f"tuned_{i}", controller=(name,),
+                            controller_params=(params,))
+        for i, (name, params) in enumerate(tuned.items())
+    ]
+    for sc in builtin_suite() + variants:
+        assert validate(json.loads(sc.to_json())) == sc
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -187,7 +207,7 @@ def test_builtin_suite_composition():
 
 def test_builtin_suite_all_validate():
     for sc in builtin_suite():
-        validated = validate(serialize(sc))
+        validated = validate(sc.to_dict())
         assert validated == sc
 
 
@@ -305,3 +325,24 @@ def test_delay_reruns_feed_the_matrix(suite_serial):
     verdict = matrix.verdict("DelayTolerant", "observer-free")
     assert verdict is not None  # the tau=10 ms rerun actually happened
     assert matrix.measured["DelayTolerant"]["observer-free"] is not None
+
+
+@pytest.mark.parametrize("law", ["super-twisting", "adaptive"])
+def test_stateful_law_runs_are_deterministic(law, tmp_path):
+    # all nodes share one frozen params instance when the document gives
+    # one controller object; state lives in the per-node controllers
+    raw = _suite_by_name()[f"fig4_network5_{law.replace('-', '_')}"].to_dict()
+    raw["sim"]["t_final"] = 1.0
+    raw["controller"] = {"name": law}
+    shared = validate(raw)
+    assert len({id(p) for p in shared.controller_params}) == 1
+    raw["controller"] = [{"name": law}] * 5
+    per_node = validate(raw)
+    assert len({id(p) for p in per_node.controller_params}) == 5
+
+    outputs = []
+    for i, sc in enumerate((shared, per_node, shared)):
+        path = tmp_path / f"run{i}.csv"
+        sim.simulate_run(sc).write_csv(path)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -19,7 +19,6 @@ from smclab.sim import (
     SimConfig,
     TimeSeries,
     apply_noise,
-    estimate_derivative,
     eval_disturbance,
     rk4_step,
     simulate_run,
@@ -140,14 +139,8 @@ def test_delay_line_zero_tau_passthrough():
 # ------------------------------------------------- derivative estimation
 
 def test_estimate_derivative_constant_history():
-    assert estimate_derivative([2.0] * 50, 1e-3, 20.0) == 0.0
-
-
-def test_estimate_derivative_needs_two_samples():
-    with pytest.raises(InvalidInputError):
-        estimate_derivative([1.0], 1e-3, 20.0)
-    with pytest.raises(InvalidInputError):
-        estimate_derivative([1.0, 2.0], 0.0, 20.0)
+    filt = LowPassDifferentiator(20.0, 1e-3)
+    assert [filt.update(2.0) for _ in range(50)] == [0.0] * 50
 
 
 def test_estimate_derivative_ramp():
@@ -182,16 +175,6 @@ def test_estimate_derivative_noisy_sine():
     assert err_raw > 50.0
     assert err_filtered < 4.6
     assert err_filtered < err_raw / 10.0
-
-
-def test_estimate_derivative_matches_streaming_filter():
-    rng = np.random.default_rng(3)
-    hist = np.cumsum(rng.normal(0.0, 0.1, 200))
-    filt = LowPassDifferentiator(15.0, 1e-3)
-    streamed = 0.0
-    for v in hist:
-        streamed = filt.update(float(v))
-    assert estimate_derivative(hist, 1e-3, 15.0) == streamed
 
 
 def test_low_pass_differentiator_rejects_bad_cutoff():
@@ -321,6 +304,23 @@ def test_csv_roundtrip_keeps_divergence_flag(tmp_path):
     assert path.read_text().startswith("# diverged_at=")
     back = TimeSeries.read_csv(path)
     assert back.diverged and back.diverged_at == ts.diverged_at
+
+
+def test_read_csv_rejects_malformed_input(tmp_path):
+    header = "t,x,v,u,alpha,beta,s,V,d\n"
+    cases = {
+        "binary.csv": b"\xff\xfe\x00t,x\n",
+        "cell.csv": (header + "0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,abc\n").encode(),
+        "short.csv": (header + "0.0,1.0\n").encode(),
+        "summary.csv": b"name,settling_time\nfig1,1.0\n",
+        "renamed.csv": header.replace(",v,", ",w,").encode() + b"0,0,0,0,0,0,0,0,0\n",
+        "empty.csv": b"# diverged_at=1.0\n",
+    }
+    for name, body in cases.items():
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(InvalidInputError):
+            TimeSeries.read_csv(path)
 
 
 def test_timeseries_column_access():
