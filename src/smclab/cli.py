@@ -161,6 +161,13 @@ def _out_dir(flag_value) -> Path:
     return Path(os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT)
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SmcLabError(f"cannot create output directory {path}: {exc}") from None
+
+
 def _parse_override(text: str):
     if "=" not in text:
         raise SmcLabError(f"override '{text}' must look like path.to.key=value")
@@ -232,7 +239,7 @@ def cmd_run(args) -> int:
     scenario = scenarios.validate(raw)
 
     out_dir = _out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     ts = sim.simulate_run(scenario)
 
     csv_path = out_dir / f"{scenario.name}.csv"
@@ -270,6 +277,7 @@ def cmd_suite(args) -> int:
         print("error: --parallelism must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = _out_dir(args.out_dir)
+    _make_dir(out_dir)
     suite = scenarios.builtin_suite()
     result = scenarios.run_suite(suite, out_dir, parallelism=args.parallelism)
 
@@ -324,7 +332,7 @@ def cmd_plot(args) -> int:
         return EXIT_CONFIG
 
     out = Path(args.out) if args.out else Path(args.csv[0]).with_suffix(".plot.svg")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     out.write_text(
         render_line_svg(traces, title=args.title or "", ylabel=",".join(columns))
     )

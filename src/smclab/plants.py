@@ -105,18 +105,21 @@ def _duffing_drift(x, v, p: DuffingParams):
     return p.lin * x + p.cub * x ** 3 - p.delta * v
 
 
-def _coupling(x: np.ndarray, p: NetworkParams) -> np.ndarray:
-    """Diffusive position coupling kappa * sum_j (x_j - x_i) over neighbors."""
+def _coupling(x: np.ndarray, p: NetworkParams, prev, nxt) -> np.ndarray:
+    """Diffusive position coupling kappa * sum_j (x_j - x_i) over neighbors.
+
+    On a ring, ``prev``/``nxt`` index each node's two neighbors.
+    """
     if p.topology == "ring":
-        return p.kappa * ((np.roll(x, 1) - x) + (np.roll(x, -1) - x))
+        return p.kappa * ((x[prev] - x) + (x[nxt] - x))
     acc = np.zeros_like(x)
     acc[1:] += p.kappa * (x[:-1] - x[1:])
     acc[:-1] += p.kappa * (x[1:] - x[:-1])
     return acc
 
 
-def _network_drift(x, v, p: NetworkParams):
-    return _pendulum_drift(x, v, p.node) + _coupling(x, p)
+def _network_drift(x, v, p: NetworkParams, prev, nxt):
+    return _pendulum_drift(x, v, p.node) + _coupling(x, p, prev, nxt)
 
 
 def _assemble(state: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -189,5 +192,7 @@ def make_plant(name: str, params=None) -> PlantModel:
     elif name == "duffing":
         n, drift, b = 1, lambda s, t: _duffing_drift(s[0::2], s[1::2], params), params.b
     else:
-        n, drift, b = params.n, lambda s, t: _network_drift(s[0::2], s[1::2], params), params.node.b
+        n, b = params.n, params.node.b
+        prev, nxt = np.roll(np.arange(n), 1), np.roll(np.arange(n), -1)
+        drift = lambda s, t: _network_drift(s[0::2], s[1::2], params, prev, nxt)
     return PlantModel(name=name, n_nodes=n, params=params, f=drift, g=np.full(n, float(b)))

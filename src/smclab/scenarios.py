@@ -282,6 +282,14 @@ def validate(raw) -> Scenario:
             )
 
     sim_cfg = _build(sim.SimConfig, raw.get("sim", {}), "sim", errors)
+    if sim_cfg is not None and n_nodes is not None:
+        recorded = (sim_cfg.n_steps // sim_cfg.record_stride + 1) * n_nodes
+        if recorded > sim.MAX_RECORDED_SAMPLES:
+            errors.append(
+                f"sim: {recorded} recorded samples (steps / sim.record_stride + 1, "
+                f"times {n_nodes} nodes) exceed {sim.MAX_RECORDED_SAMPLES:g}; "
+                "raise sim.record_stride or shorten sim.t_final"
+            )
     noise_cfg = _build(sim.NoiseConfig, raw.get("noise", {}), "noise", errors)
     dist = _build(sim.DisturbanceSpec, raw.get("disturbance", {}), "disturbance", errors)
     delay = _build(sim.DelaySpec, raw.get("delay", {}), "delay", errors)

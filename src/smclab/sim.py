@@ -20,6 +20,8 @@ DIVERGENCE_LIMIT = 1e6
 DT_MIN = 1e-6
 DT_MAX = 1e-1
 MAX_STEPS = 10 ** 8
+MAX_RECORDED_SAMPLES = 10 ** 7    # recorded rows x nodes a run may allocate
+NOISE_BLOCK = 256                 # draws taken from each noise stream at once
 DISTURBANCE_KINDS = ("none", "sinusoid")
 
 
@@ -94,34 +96,51 @@ def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:
     return spec.amplitude * math.sin(spec.angular_frequency * t)
 
 
+def _draw_rows(gens):
+    """Endless rows of the next draw of every stream in ``gens``.
+
+    Each stream is drawn NOISE_BLOCK values at a time, which equal as many
+    scalar draws; nothing is drawn before the first row is requested.
+    """
+    while True:
+        yield from np.stack([g.standard_normal(NOISE_BLOCK) for g in gens], axis=1)
+
+
 class NoiseStreams:
     """Independent Gaussian stream per measured channel per node.
 
     Stream identities are derived from the scenario seed as (seed, node, 0)
     for positions and (seed, node, 1) for velocities, so adding nodes never
-    reshuffles the draws of existing ones.
+    reshuffles the draws of existing ones.  ``x_rows``/``v_rows`` yield one
+    draw per node and step.
     """
 
     def __init__(self, seed: int, n_nodes: int):
         self.x = [np.random.default_rng([seed, i, 0]) for i in range(n_nodes)]
         self.v = [np.random.default_rng([seed, i, 1]) for i in range(n_nodes)]
+        self.x_rows = _draw_rows(self.x)
+        self.v_rows = _draw_rows(self.v)
 
 
 def apply_noise(state, cfg: NoiseConfig, streams: NoiseStreams) -> np.ndarray:
-    """Measured copy of the state; channels with zero std pass through exactly."""
+    """Measured copy of the state.
+
+    Channels with zero std pass through exactly and consume no draws.
+    """
     measured = np.array(state, dtype=float)
-    if cfg.std_x == 0.0 and cfg.std_v == 0.0:
-        return measured
-    for i in range(measured.shape[0] // 2):
-        if cfg.std_x > 0.0:
-            measured[2 * i] += cfg.std_x * streams.x[i].standard_normal()
-        if cfg.std_v > 0.0:
-            measured[2 * i + 1] += cfg.std_v * streams.v[i].standard_normal()
+    if cfg.std_x > 0.0:
+        measured[0::2] += cfg.std_x * next(streams.x_rows)
+    if cfg.std_v > 0.0:
+        measured[1::2] += cfg.std_v * next(streams.v_rows)
     return measured
 
 
 class DelayLine:
-    """FIFO input delay of ceil(tau / dt) steps, zero-filled at start."""
+    """FIFO input delay of ceil(tau / dt) steps, zero-filled at start.
+
+    Values may be scalars or node vectors; the fill value is the scalar
+    0.0, which broadcasts against a vector.
+    """
 
     def __init__(self, tau: float, dt: float):
         if tau < 0:
@@ -132,7 +151,7 @@ class DelayLine:
         self._buf = [0.0] * self.n
         self._head = 0
 
-    def push(self, u: float) -> float:
+    def push(self, u):
         if self.n == 0:
             return u
         out = self._buf[self._head]
@@ -142,7 +161,11 @@ class DelayLine:
 
 
 class LowPassDifferentiator:
-    """Backward difference followed by a first-order low-pass filter."""
+    """Backward difference followed by a first-order low-pass filter.
+
+    ``x`` may be a scalar or a node vector, filtered elementwise.  The first
+    output is +0.0 in the shape of ``x``.
+    """
 
     def __init__(self, cutoff_hz: float, dt: float):
         if not (math.isfinite(cutoff_hz) and cutoff_hz > 0):
@@ -151,14 +174,16 @@ class LowPassDifferentiator:
         self.a = r / (r + 1.0)
         self.dt = dt
         self._prev = None
-        self._y = 0.0
+        self._y = None
 
-    def update(self, x: float) -> float:
+    def update(self, x):
         if self._prev is None:
             self._prev = x
+            self._y = np.zeros_like(x, dtype=float)
             return self._y
         diff = (x - self._prev) / self.dt
-        self._y += self.a * (diff - self._y)
+        # rebinding, not +=: an output already returned must not change
+        self._y = self._y + self.a * (diff - self._y)
         self._prev = x
         return self._y
 
@@ -175,7 +200,7 @@ def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
     # dividing the stage sum first keeps y + dt exact for a constant
     # unit derivative
     out = y + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError(t)
     return out
 
@@ -303,9 +328,16 @@ def simulate_run(scenario) -> TimeSeries:
     """Run one validated scenario to completion or divergence.
 
     Per step: measure (noise, then optional derivative estimate), evaluate
-    each node controller on its own (x, v) pair, push controls through the
-    input delay, sample the disturbance, record, then integrate one RK4
-    step with control and disturbance held.
+    each node controller on its own (x, v) pair, push the control vector
+    through the input delay, sample the disturbance, record, then integrate
+    one RK4 step with control and disturbance held.  Noise, delay, the
+    velocity estimate and recording act on whole node vectors; only the
+    control laws run once per node.
+
+    A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
+    magnitude ends the run: ``diverged_at`` is the time of that rejected
+    state (t + dt) and the series keeps every sample before it, so at
+    ``record_stride`` 1, ``diverged_at == n_samples * dt``.
     """
     plant = scenario.make_plant()
     n = plant.n_nodes
@@ -318,13 +350,10 @@ def simulate_run(scenario) -> TimeSeries:
     if len(ctrls) != n:
         raise ConfigError(f"expected {n} controllers, got {len(ctrls)}")
     streams = NoiseStreams(cfg.seed, n)
-    delays = [DelayLine(scenario.delay.tau, dt) for _ in range(n)]
-    estimators = None
+    delay = DelayLine(scenario.delay.tau, dt)
+    estimator = None
     if scenario.estimate_velocity:
-        estimators = [
-            LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
-            for _ in range(n)
-        ]
+        estimator = LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
 
     state = np.asarray(scenario.x0, dtype=float)
     if state.shape != (2 * n,):
@@ -333,9 +362,10 @@ def simulate_run(scenario) -> TimeSeries:
     n_rec = n_steps // stride + 1
     rec_t = np.empty(n_rec)
     rec_d = np.empty(n_rec)
-    per_node = {name: np.empty((n_rec, n)) for name in TimeSeries._PER_NODE}
+    rec_state = np.empty((n_rec, 2 * n))
+    rec_u = np.empty((n_rec, n))
+    rec_diag = np.empty((n_rec, n, 4))   # alpha, beta, s, V
 
-    diverged = False
     diverged_at = None
     rec_i = 0
 
@@ -343,27 +373,20 @@ def simulate_run(scenario) -> TimeSeries:
         t = k * dt
         measured = apply_noise(state, scenario.noise, streams)
         xm = measured[0::2]
-        vm = measured[1::2]
-        if estimators is not None:
-            vm = np.array([estimators[i].update(float(xm[i])) for i in range(n)])
+        vm = measured[1::2] if estimator is None else estimator.update(xm)
         g = plant.gain(measured)
-        outs = [
-            ctrls[i].step(float(xm[i]), float(vm[i]), float(g[i]), dt)
-            for i in range(n)
-        ]
-        u_applied = np.array([delays[i].push(outs[i].u) for i in range(n)])
+        # one ControlOutput row per node: u, alpha, beta, s, V
+        nodes = zip(ctrls, xm.tolist(), vm.tolist(), g.tolist())
+        out = np.array([c.step(x, v, gi, dt) for c, x, v, gi in nodes], dtype=float)
+        u_applied = delay.push(out[:, 0])
         d = eval_disturbance(scenario.disturbance, t)
 
         if k % stride == 0:
             rec_t[rec_i] = t
             rec_d[rec_i] = d
-            per_node["x"][rec_i] = state[0::2]
-            per_node["v"][rec_i] = state[1::2]
-            per_node["u"][rec_i] = u_applied
-            per_node["alpha"][rec_i] = [o.alpha for o in outs]
-            per_node["beta"][rec_i] = [o.beta for o in outs]
-            per_node["s"][rec_i] = [o.s for o in outs]
-            per_node["V"][rec_i] = [o.V for o in outs]
+            rec_state[rec_i] = state
+            rec_u[rec_i] = u_applied
+            rec_diag[rec_i] = out[:, 1:]
             rec_i += 1
 
         if k == n_steps:
@@ -374,19 +397,22 @@ def simulate_run(scenario) -> TimeSeries:
 
         try:
             state = rk4_step(deriv, state, t, dt)
-        except DivergenceError as err:
-            diverged = True
-            diverged_at = err.t
-            break
-        if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
-            diverged = True
+        except DivergenceError:
+            state = None
+        if state is None or np.abs(state).max() > DIVERGENCE_LIMIT:
             diverged_at = t + dt
             break
 
     return TimeSeries(
         t=rec_t[:rec_i],
+        x=rec_state[:rec_i, 0::2],
+        v=rec_state[:rec_i, 1::2],
+        u=rec_u[:rec_i],
+        alpha=rec_diag[:rec_i, :, 0],
+        beta=rec_diag[:rec_i, :, 1],
+        s=rec_diag[:rec_i, :, 2],
+        V=rec_diag[:rec_i, :, 3],
         d=rec_d[:rec_i],
-        diverged=diverged,
+        diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        **{name: arr[:rec_i] for name, arr in per_node.items()},
     )

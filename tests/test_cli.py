@@ -111,6 +111,25 @@ def test_run_override_on_non_object_document(tmp_path, capsys):
     assert "not a JSON object" in _one_line_error(capsys)
 
 
+def test_run_out_dir_naming_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", FIG1, "--out-dir", str(blocker)])
+    assert code == 2
+    assert "cannot create output directory" in _one_line_error(capsys)
+
+
+def test_run_recording_over_the_cap_is_config_error(tmp_path, capsys):
+    # 2e7 steps at stride 1 would record more than sim.MAX_RECORDED_SAMPLES
+    code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                 "--set", "sim.t_final=20000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: sim: ") and err.count("\n") == 1
+    assert "sim.record_stride" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     sc_path = tmp_path / "blowup.json"
     sc_path.write_text(json.dumps(BLOWUP))
@@ -215,6 +234,15 @@ def test_plot_non_utf8_csv_is_config_error(tmp_path, capsys):
     assert "not a UTF-8 text file" in _one_line_error(capsys)
 
 
+def test_plot_out_under_a_file_is_config_error(fig1_csv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["plot", str(fig1_csv), "--columns", "x",
+                 "--out", str(blocker / "x.svg")])
+    assert code == 2
+    assert "cannot create output directory" in _one_line_error(capsys)
+
+
 def test_plot_empty_columns(fig1_csv, capsys):
     code = main(["plot", str(fig1_csv), "--columns", ","])
     assert code == 2
@@ -284,6 +312,14 @@ def test_suite_reports_partial_failures(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "failed: blowup: diverged at t=1.087 s" in captured.err
     assert "ran 1 scenarios" in captured.out
+
+
+def test_suite_out_dir_naming_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["suite", "--out-dir", str(blocker)])
+    assert code == 2
+    assert "cannot create output directory" in _one_line_error(capsys)
 
 
 def test_suite_rejects_bad_parallelism(tmp_path, capsys):

@@ -122,6 +122,20 @@ def test_network_coupling_sums_to_zero(topology):
     assert abs(coupling.sum()) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_ring_coupling_matches_roll_reference(n):
+    # the neighbor gather must round exactly like the np.roll expression
+    rng = np.random.default_rng(n)
+    p = NetworkParams(n=n, kappa=0.37, topology="ring")
+    for _ in range(20):
+        state = rng.uniform(-3.0, 3.0, 2 * n)
+        x, v = state[0::2], state[1::2]
+        ring = p.kappa * ((np.roll(x, 1) - x) + (np.roll(x, -1) - x))
+        expected = plants._pendulum_drift(x, v, p.node) + ring
+        out = deriv("network5", state, np.zeros(n), p)
+        assert out[1::2].tobytes() == expected.tobytes()
+
+
 def test_dynamics_are_pure():
     rng = np.random.default_rng(17)
     state = rng.uniform(-1.0, 1.0, 2)

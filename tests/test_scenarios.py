@@ -66,6 +66,24 @@ def test_all_violations_are_collected():
     assert "x0" in joined and "dt must be positive" in joined
 
 
+def test_recorded_sample_cap_is_a_violation():
+    # 1e6 steps + 1 initial sample, times 10 nodes, is just over the cap
+    raw = _suite_by_name()["fig4_network5_observer_free"].to_dict()
+    raw["plant"]["n"] = 10
+    raw["x0"] = [0.1, 0.0] * 10
+    raw["sim"]["t_final"] = 1000.0
+    raw["bogus"] = 1
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    capped = [msg for msg in err.value.errors if "sim.record_stride" in msg]
+    assert len(capped) == 1 and "10000010 recorded samples" in capped[0]
+    assert any("bogus" in msg for msg in err.value.errors)
+
+    del raw["bogus"]
+    raw["sim"]["record_stride"] = 2
+    assert validate(raw).sim.record_stride == 2
+
+
 def test_unknown_fields_and_schema_version():
     raw = _fig1_raw()
     raw["extra_knob"] = 1
