@@ -333,9 +333,11 @@ def cmd_plot(args) -> int:
 
     out = Path(args.out) if args.out else Path(args.csv[0]).with_suffix(".plot.svg")
     _make_dir(out.parent)
-    out.write_text(
-        render_line_svg(traces, title=args.title or "", ylabel=",".join(columns))
-    )
+    svg = render_line_svg(traces, title=args.title or "", ylabel=",".join(columns))
+    try:
+        out.write_text(svg)
+    except OSError as exc:
+        raise SmcLabError(f"cannot write {out}: {exc}") from None
     print(f"wrote {out}")
     return EXIT_OK
 

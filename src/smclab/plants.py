@@ -8,13 +8,14 @@ Four plants are shipped, selectable by name in scenario files:
 * ``network5``   ring of diffusively coupled pendulums, one input per node
 
 State vectors are flat and interleaved, ``[x_1, v_1, ..., x_N, v_N]``.
-The drift is a pure function of the state.  The input gain is a constant
-per-node vector (``b`` for every shipped plant), checked for ``|g| >= 1e-9``
-once, when a :class:`PlantModel` is built.
+The drift is a pure function of the state, evaluated on Python floats.  The
+input gain is a constant per-node vector (``b`` for every shipped plant),
+checked for ``|g| >= 1e-9`` once, when a :class:`PlantModel` is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, nan, sin
 from typing import Callable
 
 import numpy as np
@@ -93,47 +94,66 @@ class NetworkParams:
             raise ConfigError(f"network topology must be one of {TOPOLOGIES}")
 
 
-def _pendulum_drift(x, v, p: PendulumParams):
-    return p.a * np.sin(x) - p.c * v
+# Each plant maps per-node lists of floats (positions xs, velocities vs,
+# gains gs, held controls us) and the disturbance d to the list of closed-loop
+# accelerations.  Every expression keeps the operation order of the array
+# form drift + g u + d, so the floats round exactly as the arrays did.
 
 
-def _vdp_drift(x, v, p: VanDerPolParams):
-    return p.mu * (1.0 - x * x) * v - x
+def _finite_sin(x: float) -> float:
+    """np.sin's value on one float: nan, not an error, for +-inf."""
+    return sin(x) if isfinite(x) else nan
 
 
-def _duffing_drift(x, v, p: DuffingParams):
-    return p.lin * x + p.cub * x ** 3 - p.delta * v
+def _pendulum_acc(xs, vs, gs, us, d, p: PendulumParams, sin=sin) -> list:
+    a, c = p.a, p.c
+    try:
+        return [a * sin(x) - c * v + g * u + d for x, v, g, u in zip(xs, vs, gs, us)]
+    except ValueError:
+        # math.sin raises on an infinite stage state; np.sin gave nan there,
+        # which ends the step as a divergence
+        return _pendulum_acc(xs, vs, gs, us, d, p, _finite_sin)
 
 
-def _coupling(x: np.ndarray, p: NetworkParams, prev, nxt) -> np.ndarray:
-    """Diffusive position coupling kappa * sum_j (x_j - x_i) over neighbors.
-
-    On a ring, ``prev``/``nxt`` index each node's two neighbors.
-    """
-    if p.topology == "ring":
-        return p.kappa * ((x[prev] - x) + (x[nxt] - x))
-    acc = np.zeros_like(x)
-    acc[1:] += p.kappa * (x[:-1] - x[1:])
-    acc[:-1] += p.kappa * (x[1:] - x[:-1])
-    return acc
+def _vdp_acc(xs, vs, gs, us, d, p: VanDerPolParams) -> list:
+    mu = p.mu
+    return [mu * (1.0 - x * x) * v - x + g * u + d for x, v, g, u in zip(xs, vs, gs, us)]
 
 
-def _network_drift(x, v, p: NetworkParams, prev, nxt):
-    return _pendulum_drift(x, v, p.node) + _coupling(x, p, prev, nxt)
+def _duffing_acc(xs, vs, gs, us, d, p: DuffingParams) -> list:
+    # numpy's array power loop rounds x ** 3 differently from Python's float
+    # power and from x * x * x, so the cube stays on it
+    cubes = np.power(xs, 3).tolist()
+    lin, cub, delta = p.lin, p.cub, p.delta
+    return [lin * x + cub * x3 - delta * v + g * u + d
+            for x, x3, v, g, u in zip(xs, cubes, vs, gs, us)]
 
 
-def _assemble(state: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    out = np.empty_like(state)
-    out[0::2] = state[1::2]
-    out[1::2] = acc
-    return out
+def _network_acc(xs, vs, gs, us, d, p: NetworkParams, sin=sin) -> list:
+    """Pendulum nodes plus diffusive coupling kappa * sum_j (x_j - x_i)."""
+    a, c, k = p.node.a, p.node.c, p.kappa
+    try:
+        if p.topology == "ring":
+            left, right = xs[-1:] + xs[:-1], xs[1:] + xs[:1]
+            return [a * sin(x) - c * v + k * ((xl - x) + (xr - x)) + g * u + d
+                    for xl, x, xr, v, g, u in zip(left, xs, right, vs, gs, us)]
+        # a chain end has one neighbor; each coupling sum starts from +0.0
+        left = [0.0] + [k * (xl - x) for xl, x in zip(xs, xs[1:])]
+        right = [k * (xr - x) for x, xr in zip(xs, xs[1:])] + [0.0]
+        return [a * sin(x) - c * v + ((0.0 + cl) + cr) + g * u + d
+                for x, v, cl, cr, g, u in zip(xs, vs, left, right, gs, us)]
+    except ValueError:
+        # as in _pendulum_acc
+        return _network_acc(xs, vs, gs, us, d, p, _finite_sin)
 
 
 @dataclass(frozen=True)
 class PlantModel:
     """Uniform plant interface used by the simulator.
 
-    ``f(state, t)`` returns the per-node drift acceleration (length N) and
+    ``f(xs, vs, gs, us, d, params)`` maps per-node lists of positions,
+    velocities, input gains and held controls, and the disturbance, to the
+    list of closed-loop accelerations ``drift + g u + d`` (length N).
     ``g`` is the constant per-node input gain (length N), read-only after
     construction.
     """
@@ -141,7 +161,7 @@ class PlantModel:
     name: str
     n_nodes: int
     params: object
-    f: Callable[[np.ndarray, float], np.ndarray]
+    f: Callable[..., list]
     g: np.ndarray
 
     def __post_init__(self):
@@ -152,29 +172,43 @@ class PlantModel:
             raise SingularGainError(f"plant '{self.name}': |g| must be >= {G_MIN:g}")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_g", g.tolist())
 
     def gain(self, state) -> np.ndarray:
         return self.g
 
-    def derivative(self, state, t, u, d=0.0) -> np.ndarray:
-        """Closed-loop derivative for held control u and disturbance d."""
-        state = np.asarray(state, dtype=float)
-        acc = self.f(state, t) + self.g * u + d
-        return _assemble(state, acc)
+    def derivative(self, state, t, u, d=0.0):
+        """Closed-loop derivative for held control u and disturbance d.
+
+        The simulator's step passes ``state`` and ``u`` as lists of floats
+        and gets a list back.  Any other input (an array, a scalar u) gives
+        an ndarray with the same values.
+        """
+        as_array = type(state) is not list or type(u) is not list
+        if as_array:
+            state = np.asarray(state, dtype=float).tolist()
+            u = np.broadcast_to(np.asarray(u, dtype=float), (self.n_nodes,)).tolist()
+            d = float(d)
+        xs, vs = state[0::2], state[1::2]
+        out = state[:]
+        out[0::2] = vs
+        out[1::2] = self.f(xs, vs, self._g, u, d, self.params)
+        return np.array(out) if as_array else out
 
 
-_PARAM_TYPES = {
-    "pendulum": PendulumParams,
-    "vdp": VanDerPolParams,
-    "duffing": DuffingParams,
-    "network5": NetworkParams,
+# name -> (params type, acceleration function)
+_PLANTS = {
+    "pendulum": (PendulumParams, _pendulum_acc),
+    "vdp": (VanDerPolParams, _vdp_acc),
+    "duffing": (DuffingParams, _duffing_acc),
+    "network5": (NetworkParams, _network_acc),
 }
 
 
 def param_type(name: str):
-    if name not in _PARAM_TYPES:
+    if name not in _PLANTS:
         raise ConfigError(f"unknown plant '{name}', expected one of {PLANT_NAMES}")
-    return _PARAM_TYPES[name]
+    return _PLANTS[name][0]
 
 
 def make_plant(name: str, params=None) -> PlantModel:
@@ -185,14 +219,9 @@ def make_plant(name: str, params=None) -> PlantModel:
     if not isinstance(params, cls):
         raise ConfigError(f"plant '{name}' expects {cls.__name__} parameters")
 
-    if name == "pendulum":
-        n, drift, b = 1, lambda s, t: _pendulum_drift(s[0::2], s[1::2], params), params.b
-    elif name == "vdp":
-        n, drift, b = 1, lambda s, t: _vdp_drift(s[0::2], s[1::2], params), params.b
-    elif name == "duffing":
-        n, drift, b = 1, lambda s, t: _duffing_drift(s[0::2], s[1::2], params), params.b
-    else:
+    if name == "network5":
         n, b = params.n, params.node.b
-        prev, nxt = np.roll(np.arange(n), 1), np.roll(np.arange(n), -1)
-        drift = lambda s, t: _network_drift(s[0::2], s[1::2], params, prev, nxt)
-    return PlantModel(name=name, n_nodes=n, params=params, f=drift, g=np.full(n, float(b)))
+    else:
+        n, b = 1, params.b
+    return PlantModel(name=name, n_nodes=n, params=params,
+                      f=_PLANTS[name][1], g=np.full(n, float(b)))

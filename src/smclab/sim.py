@@ -97,13 +97,14 @@ def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:
 
 
 def _draw_rows(gens):
-    """Endless rows of the next draw of every stream in ``gens``.
+    """Endless rows (lists of floats) of the next draw of every stream.
 
     Each stream is drawn NOISE_BLOCK values at a time, which equal as many
-    scalar draws; nothing is drawn before the first row is requested.
+    scalar draws, and each block is converted to floats once; nothing is
+    drawn before the first row is requested.
     """
     while True:
-        yield from np.stack([g.standard_normal(NOISE_BLOCK) for g in gens], axis=1)
+        yield from np.stack([g.standard_normal(NOISE_BLOCK) for g in gens], axis=1).tolist()
 
 
 class NoiseStreams:
@@ -122,33 +123,37 @@ class NoiseStreams:
         self.v_rows = _draw_rows(self.v)
 
 
-def apply_noise(state, cfg: NoiseConfig, streams: NoiseStreams) -> np.ndarray:
-    """Measured copy of the state.
+def apply_noise(state, cfg: NoiseConfig, streams: NoiseStreams) -> list:
+    """Measured copy of the interleaved state, as a list of floats.
 
     Channels with zero std pass through exactly and consume no draws.
     """
-    measured = np.array(state, dtype=float)
+    measured = list(map(float, state))
     if cfg.std_x > 0.0:
-        measured[0::2] += cfg.std_x * next(streams.x_rows)
+        sx = cfg.std_x
+        row = next(streams.x_rows)
+        measured[0::2] = [x + sx * r for x, r in zip(measured[0::2], row)]
     if cfg.std_v > 0.0:
-        measured[1::2] += cfg.std_v * next(streams.v_rows)
+        sv = cfg.std_v
+        row = next(streams.v_rows)
+        measured[1::2] = [v + sv * r for v, r in zip(measured[1::2], row)]
     return measured
 
 
 class DelayLine:
-    """FIFO input delay of ceil(tau / dt) steps, zero-filled at start.
+    """FIFO input delay of ceil(tau / dt) steps, filled with ``fill`` at start.
 
-    Values may be scalars or node vectors; the fill value is the scalar
-    0.0, which broadcasts against a vector.
+    Values are held as given, so a list of node controls comes out as the
+    same list; the simulator fills with a list of +0.0 per node.
     """
 
-    def __init__(self, tau: float, dt: float):
+    def __init__(self, tau: float, dt: float, fill=0.0):
         if tau < 0:
             raise ConfigError("delay tau must be >= 0")
         # round() guards against 0.01/0.001 style quotients landing above
         # the intended integer by one ulp
         self.n = math.ceil(round(tau / dt, 9))
-        self._buf = [0.0] * self.n
+        self._buf = [fill] * self.n
         self._head = 0
 
     def push(self, u):
@@ -163,8 +168,8 @@ class DelayLine:
 class LowPassDifferentiator:
     """Backward difference followed by a first-order low-pass filter.
 
-    ``x`` may be a scalar or a node vector, filtered elementwise.  The first
-    output is +0.0 in the shape of ``x``.
+    ``x`` is a sequence of node positions, filtered elementwise; each
+    output is a new list of floats.  The first output is +0.0 per node.
     """
 
     def __init__(self, cutoff_hz: float, dt: float):
@@ -176,33 +181,52 @@ class LowPassDifferentiator:
         self._prev = None
         self._y = None
 
-    def update(self, x):
+    def update(self, x) -> list:
         if self._prev is None:
             self._prev = x
-            self._y = np.zeros_like(x, dtype=float)
+            self._y = [0.0] * len(x)
             return self._y
-        diff = (x - self._prev) / self.dt
-        # rebinding, not +=: an output already returned must not change
-        self._y = self._y + self.a * (diff - self._y)
+        a, dt = self.a, self.dt
+        self._y = [
+            y + a * ((xi - xp) / dt - y) for xi, xp, y in zip(x, self._prev, self._y)
+        ]
         self._prev = x
         return self._y
 
 
 def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
-    """One classic Runge-Kutta 4 step of ``state' = deriv(state, t)``."""
+    """One classic Runge-Kutta 4 step of ``state' = deriv(state, t)``.
+
+    A list state (the simulator's step) is integrated on Python floats and
+    ``deriv`` must map lists of floats to lists.  Any other 1-D state is
+    handed to ``deriv`` as an ndarray.  The arithmetic is elementwise IEEE
+    either way, so both give the bits the array expressions give.  Returns
+    the new state as an ndarray; raises DivergenceError if it is not finite.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidInputError("dt must be > 0")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(deriv(y, t), dtype=float)
-    k2 = np.asarray(deriv(y + (0.5 * dt) * k1, t + 0.5 * dt), dtype=float)
-    k3 = np.asarray(deriv(y + (0.5 * dt) * k2, t + 0.5 * dt), dtype=float)
-    k4 = np.asarray(deriv(y + dt * k3, t + dt), dtype=float)
+    if type(state) is list:
+        y, f = state, deriv
+    else:
+        y = np.asarray(state, dtype=float).tolist()
+
+        def f(s, tau):
+            return np.asarray(deriv(np.array(s), tau), dtype=float).tolist()
+
+    h = 0.5 * dt
+    k1 = f(y, t)
+    k2 = f([a + h * b for a, b in zip(y, k1)], t + h)
+    k3 = f([a + h * b for a, b in zip(y, k2)], t + h)
+    k4 = f([a + dt * b for a, b in zip(y, k3)], t + dt)
     # dividing the stage sum first keeps y + dt exact for a constant
     # unit derivative
-    out = y + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-    if not np.isfinite(out).all():
+    out = [
+        a + dt * ((b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
+    if not all(map(math.isfinite, out)):
         raise DivergenceError(t)
-    return out
+    return np.array(out)
 
 
 @dataclass
@@ -330,9 +354,17 @@ def simulate_run(scenario) -> TimeSeries:
     Per step: measure (noise, then optional derivative estimate), evaluate
     each node controller on its own (x, v) pair, push the control vector
     through the input delay, sample the disturbance, record, then integrate
-    one RK4 step with control and disturbance held.  Noise, delay, the
-    velocity estimate and recording act on whole node vectors; only the
-    control laws run once per node.
+    one RK4 step with control and disturbance held.
+
+    The step works on Python floats: node vectors are lists, because numpy
+    call overhead on 2- to 32-element arrays costs more than the arithmetic.
+    Every operation is elementwise IEEE arithmetic in the order the array
+    expressions used, so the bits are those of the array form.  numpy stays
+    where it pays or where it rounds differently: noise is drawn in blocks
+    of NOISE_BLOCK per stream and converted to floats once per block,
+    Duffing's x ** 3 runs on numpy's array power loop, rk4_step hands back
+    an ndarray, and each recorded step writes one row into preallocated
+    buffers.  The input gain is constant and read once per run.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
@@ -350,14 +382,16 @@ def simulate_run(scenario) -> TimeSeries:
     if len(ctrls) != n:
         raise ConfigError(f"expected {n} controllers, got {len(ctrls)}")
     streams = NoiseStreams(cfg.seed, n)
-    delay = DelayLine(scenario.delay.tau, dt)
+    delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)
     estimator = None
     if scenario.estimate_velocity:
         estimator = LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
 
-    state = np.asarray(scenario.x0, dtype=float)
-    if state.shape != (2 * n,):
+    x0 = np.asarray(scenario.x0, dtype=float)
+    if x0.shape != (2 * n,):
         raise ConfigError(f"x0 must have length {2 * n}")
+    state = x0.tolist()
+    g = plant.gain(x0).tolist()
 
     n_rec = n_steps // stride + 1
     rec_t = np.empty(n_rec)
@@ -365,6 +399,7 @@ def simulate_run(scenario) -> TimeSeries:
     rec_state = np.empty((n_rec, 2 * n))
     rec_u = np.empty((n_rec, n))
     rec_diag = np.empty((n_rec, n, 4))   # alpha, beta, s, V
+    rec_diag_rows = rec_diag.reshape(n_rec, 4 * n)
 
     diverged_at = None
     rec_i = 0
@@ -374,11 +409,8 @@ def simulate_run(scenario) -> TimeSeries:
         measured = apply_noise(state, scenario.noise, streams)
         xm = measured[0::2]
         vm = measured[1::2] if estimator is None else estimator.update(xm)
-        g = plant.gain(measured)
-        # one ControlOutput row per node: u, alpha, beta, s, V
-        nodes = zip(ctrls, xm.tolist(), vm.tolist(), g.tolist())
-        out = np.array([c.step(x, v, gi, dt) for c, x, v, gi in nodes], dtype=float)
-        u_applied = delay.push(out[:, 0])
+        outs = [c.step(x, v, gi, dt) for c, x, v, gi in zip(ctrls, xm, vm, g)]
+        u_applied = delay.push([o[0] for o in outs])
         d = eval_disturbance(scenario.disturbance, t)
 
         if k % stride == 0:
@@ -386,7 +418,7 @@ def simulate_run(scenario) -> TimeSeries:
             rec_d[rec_i] = d
             rec_state[rec_i] = state
             rec_u[rec_i] = u_applied
-            rec_diag[rec_i] = out[:, 1:]
+            rec_diag_rows[rec_i] = [value for o in outs for value in o[1:]]
             rec_i += 1
 
         if k == n_steps:
@@ -396,10 +428,10 @@ def simulate_run(scenario) -> TimeSeries:
             return plant.derivative(y, tau, _u, _d)
 
         try:
-            state = rk4_step(deriv, state, t, dt)
+            state = rk4_step(deriv, state, t, dt).tolist()
         except DivergenceError:
             state = None
-        if state is None or np.abs(state).max() > DIVERGENCE_LIMIT:
+        if state is None or max(map(abs, state)) > DIVERGENCE_LIMIT:
             diverged_at = t + dt
             break
 

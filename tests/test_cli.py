@@ -243,6 +243,15 @@ def test_plot_out_under_a_file_is_config_error(fig1_csv, tmp_path, capsys):
     assert "cannot create output directory" in _one_line_error(capsys)
 
 
+def test_plot_out_naming_a_directory_is_config_error(fig1_csv, tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    code = main(["plot", str(fig1_csv), "--columns", "x", "--out", str(target)])
+    assert code == 2
+    assert "cannot write" in _one_line_error(capsys)
+    assert list(target.iterdir()) == []
+
+
 def test_plot_empty_columns(fig1_csv, capsys):
     code = main(["plot", str(fig1_csv), "--columns", ","])
     assert code == 2

@@ -1,8 +1,13 @@
 """Integrator, noise, delay, derivative estimation, and the run loop."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smclab import scenarios, sim
 from smclab.errors import (
@@ -120,11 +125,11 @@ def test_noise_rows_equal_scalar_draws_across_blocks():
     fresh_v = [np.random.default_rng([5, i, 1]) for i in range(n)]
     for _ in range(steps):
         measured = apply_noise(np.zeros(2 * n), NoiseConfig(std_x=1.0), streams)
-        assert measured[0::2].tolist() == [g.standard_normal() for g in fresh_x]
-        assert not measured[1::2].any()
+        assert measured[0::2] == [g.standard_normal() for g in fresh_x]
+        assert not any(measured[1::2])
     # the velocity channel had std 0 and consumed no draws
     measured = apply_noise(np.zeros(2 * n), NoiseConfig(std_v=1.0), streams)
-    assert measured[1::2].tolist() == [g.standard_normal() for g in fresh_v]
+    assert measured[1::2] == [g.standard_normal() for g in fresh_v]
 
 
 def test_noise_streams_stable_under_node_growth():
@@ -164,7 +169,7 @@ def test_delay_line_zero_tau_passthrough():
 
 def test_estimate_derivative_constant_history():
     filt = LowPassDifferentiator(20.0, 1e-3)
-    assert [filt.update(2.0) for _ in range(50)] == [0.0] * 50
+    assert [filt.update([2.0]) for _ in range(50)] == [[0.0]] * 50
 
 
 def test_estimate_derivative_ramp():
@@ -174,7 +179,7 @@ def test_estimate_derivative_ramp():
     settle = 5.0 / (2.0 * math.pi * cutoff)
     worst = 0.0
     for tk in t:
-        y = filt.update(3.0 * tk)
+        (y,) = filt.update([3.0 * tk])
         if tk > settle:
             worst = max(worst, abs(y - 3.0) / 3.0)
     assert worst < 0.01
@@ -189,7 +194,7 @@ def test_estimate_derivative_noisy_sine():
     t = np.arange(0.0, 10.0 + dt / 2, dt)
     x = np.sin(t) + np.random.default_rng(7).normal(0.0, 0.01, t.size)
     filt = LowPassDifferentiator(cutoff, dt)
-    est = np.array([filt.update(float(v)) for v in x])
+    est = np.array([filt.update([float(v)])[0] for v in x])
     mask = t >= 1.0
     err_filtered = float(np.abs(est[mask] - np.cos(t[mask])).max())
     raw = np.empty_like(x)
@@ -207,7 +212,7 @@ def test_vector_differentiator_matches_scalar_filters():
     filt = LowPassDifferentiator(20.0, 1e-3)
     scalar_filters = [LowPassDifferentiator(20.0, 1e-3) for _ in range(4)]
     outs = [filt.update(row) for row in xs]
-    refs = [[f.update(float(x)) for f, x in zip(scalar_filters, row)] for row in xs]
+    refs = [[f.update([float(x)])[0] for f, x in zip(scalar_filters, row)] for row in xs]
     # stacked only at the end, so an output changed by a later update shows
     assert np.array(outs).tobytes() == np.array(refs, dtype=float).tobytes()
     assert not np.signbit(outs[0]).any()
@@ -519,6 +524,75 @@ def test_network_column_names_are_suffixed():
     names = ts.column_names()
     assert names[0] == "t" and names[-1] == "d"
     assert "x1" in names and "V5" in names and len(names) == 2 + 7 * 5
+
+
+# ------------------------------------------------------------- properties
+
+_FIELDS = ("t", "x", "v", "u", "alpha", "beta", "s", "V", "d")
+
+
+@st.composite
+def _series(draw):
+    """Any TimeSeries shape with any float values, diverged or not."""
+    n_samples = draw(st.integers(1, 6))
+    n_nodes = draw(st.sampled_from([1, 2, 5]))
+    values = st.floats(width=64)
+    fields = {
+        name: draw(arrays(float, (n_samples,) if name in ("t", "d") else (n_samples, n_nodes),
+                          elements=values))
+        for name in _FIELDS
+    }
+    at = draw(st.none() | values)
+    return TimeSeries(diverged=at is not None, diverged_at=at, **fields)
+
+
+@given(ts=_series())
+def test_property_csv_write_read_write_is_byte_identical(ts):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        ts.write_csv(first)
+        back = TimeSeries.read_csv(first)
+        back.write_csv(second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.n_nodes == ts.n_nodes and back.diverged == ts.diverged
+
+
+@st.composite
+def _noisy_scenario(draw):
+    """A short run with noise, input delay and the velocity estimate."""
+    law = draw(st.sampled_from(["observer-free", "classical", "super-twisting", "adaptive"]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        plant = {"name": "network5", "n": n,
+                 "topology": draw(st.sampled_from(["ring", "chain"]))}
+    else:
+        n, plant = 1, {"name": draw(st.sampled_from(["pendulum", "vdp", "duffing"]))}
+    small = st.floats(-0.5, 0.5)
+    return scenarios.validate({
+        "name": "property",
+        "plant": plant,
+        "controller": {"name": law},
+        "x0": draw(st.lists(small, min_size=2 * n, max_size=2 * n)),
+        "sim": {"dt": 1e-3, "t_final": draw(st.floats(0.005, 0.05)),
+                "seed": draw(st.integers(0, 2 ** 32)),
+                "record_stride": draw(st.integers(1, 3))},
+        "noise": {"std_x": draw(st.floats(1e-4, 0.05)), "std_v": draw(st.floats(0.0, 0.05))},
+        "delay": {"tau": draw(st.floats(1e-3, 0.01))},
+        "estimate_velocity": True,
+        "velocity_filter_cutoff_hz": draw(st.floats(5.0, 50.0)),
+    })
+
+
+@settings(deadline=None, max_examples=30)
+@given(scenario=_noisy_scenario())
+def test_property_noisy_delayed_estimated_run_repeats_bytes(scenario):
+    a, b = simulate_run(scenario), simulate_run(scenario)
+    assert (a.diverged, a.diverged_at) == (b.diverged, b.diverged_at)
+    for field in _FIELDS:
+        left = np.ascontiguousarray(getattr(a, field))
+        right = np.ascontiguousarray(getattr(b, field))
+        assert left.shape == right.shape, field
+        assert left.tobytes() == right.tobytes(), field
 
 
 # ---------------------------------------------------------------- configs
