@@ -70,6 +70,8 @@ def render_line_svg(traces, title: str = "", xlabel: str = "t [s]",
     else:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise SmcLabError("the plotted values span more than a float can hold")
 
     def px(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)
@@ -199,16 +201,13 @@ def _apply_override(raw: dict, keys, value, source: str):
     node[keys[-1]] = value
 
 
-def _state_traces(ts: sim.TimeSeries):
-    if ts.n_nodes == 1:
-        return [("x", ts.t, ts.x[:, 0])]
-    return [(f"x{i + 1}", ts.t, ts.x[:, i]) for i in range(ts.n_nodes)]
-
-
-def _control_traces(ts: sim.TimeSeries):
-    if ts.n_nodes == 1:
-        return [("u", ts.t, ts.u[:, 0])]
-    return [(f"u{i + 1}", ts.t, ts.u[:, i]) for i in range(ts.n_nodes)]
+def _node_traces(ts: sim.TimeSeries, base: str):
+    """(name, t, column) for each node's ``base`` column: x, or x1 .. xn."""
+    return [
+        (name, ts.t, ts.column(name))
+        for name in ts.column_names()
+        if name.rstrip("0123456789") == base
+    ]
 
 
 def _load_raw_scenario(ref: str) -> dict:
@@ -256,7 +255,7 @@ def cmd_run(args) -> int:
         svg_path = out_dir / f"{scenario.name}.svg"
         svg_path.write_text(
             render_line_svg(
-                _state_traces(ts), title=scenario.name, ylabel="position"
+                _node_traces(ts, "x"), title=scenario.name, ylabel="position"
             )
         )
         written.append(svg_path)
@@ -287,11 +286,11 @@ def cmd_suite(args) -> int:
         views = by_name[name].views
         if "state" in views:
             (out_dir / f"{name}.svg").write_text(
-                render_line_svg(_state_traces(ts), title=name, ylabel="position")
+                render_line_svg(_node_traces(ts, "x"), title=name, ylabel="position")
             )
         if "control" in views:
             (out_dir / f"{name}.u.svg").write_text(
-                render_line_svg(_control_traces(ts), title=name, ylabel="control")
+                render_line_svg(_node_traces(ts, "u"), title=name, ylabel="control")
             )
 
     for group in sorted(result.matrices):
@@ -325,6 +324,12 @@ def cmd_plot(args) -> int:
                         file=sys.stderr,
                     )
                     return EXIT_CONFIG
+                for name in ("t", column):
+                    if not np.isfinite(ts.column(name)).all():
+                        raise SmcLabError(
+                            f"{path}: column '{name}' holds nan or inf values, "
+                            "which cannot be plotted"
+                        )
                 label = column if len(args.csv) == 1 else f"{path.stem}:{column}"
                 traces.append((label, ts.t, ts.column(column)))
     except (OSError, SmcLabError) as exc:

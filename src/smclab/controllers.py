@@ -222,6 +222,8 @@ class _Law(NamedTuple):
     params: type
     # (params, state, x, v, g, dt) -> (ControlOutput, state)
     step: Callable
+    # params -> a priori bound on |u|, None when the law carries no such bound
+    input_bound: Callable
     # params -> state at t = 0; None for laws that keep no state
     initial_state: Callable | None = None
 
@@ -230,22 +232,26 @@ _LAWS = {
     "observer-free": _Law(
         ObserverFreeParams,
         lambda p, st, x, v, g, dt: (observer_free_control(x, v, g, p), st),
+        lambda p: p.lam,
     ),
     "classical": _Law(
         ClassicalParams,
         lambda p, st, x, v, g, dt: (classical_smc_control(x, v, p), st),
+        lambda p: p.k,
     ),
     "super-twisting": _Law(
         SuperTwistingParams,
         lambda p, vi, x, v, g, dt: super_twisting_control(x, v, dt, p, vi),
+        lambda p: None,
         lambda p: 0.0,
     ),
     "adaptive": _Law(
         AdaptiveParams,
         lambda p, k, x, v, g, dt: adaptive_smc_control(x, v, dt, p, k),
+        lambda p: p.kmax,
         lambda p: p.k0,
     ),
-    "none": _Law(type(None), lambda p, st, x, v, g, dt: (_ZERO, st)),
+    "none": _Law(type(None), lambda p, st, x, v, g, dt: (_ZERO, st), lambda p: 0.0),
 }
 CONTROLLER_NAMES = tuple(_LAWS)
 
@@ -267,15 +273,8 @@ def is_observer_free(name: str) -> bool | None:
 
 def declared_input_bound(name: str, params) -> float | None:
     """A priori bound on |u|, or None when the law carries no such bound."""
-    if name == "observer-free":
-        return params.lam
-    if name == "classical":
-        return params.k
-    if name == "adaptive":
-        return params.kmax
-    if name == "none":
-        return 0.0
-    return None
+    law = _LAWS.get(name)
+    return None if law is None else law.input_bound(params)
 
 
 class Controller:

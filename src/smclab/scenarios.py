@@ -122,6 +122,15 @@ def load_scenario(path) -> Scenario:
     return validate(raw)
 
 
+def _float(val, path: str, errors: list) -> float | None:
+    """``float(val)``, or None with a message for an int too large for a float."""
+    try:
+        return float(val)
+    except OverflowError:
+        errors.append(f"{path}: expected a finite number")
+        return None
+
+
 def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
     """Construct a config dataclass from a JSON table, collecting messages."""
     if not isinstance(table, dict):
@@ -146,7 +155,8 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
             else:
                 kwargs[name] = val
         elif isinstance(val, (int, float)):
-            kwargs[name] = float(val)
+            kwargs[name] = _float(val, f"{path}.{key}", errors)
+            ok = ok and kwargs[name] is not None
         elif isinstance(val, str):
             kwargs[name] = val
         elif isinstance(val, dict) and name == "node":
@@ -241,29 +251,25 @@ def validate(raw) -> Scenario:
     elif plant_name is not None and plant_params is not None:
         n_nodes = 1
 
-    ctrl_names: list[str] = []
-    ctrl_params: list[object] = []
+    # a list of per-node (name, params) pairs, or one pair for every node;
+    # the per-node tuples are built only for a valid scenario, so an
+    # unchecked node count allocates nothing
+    ctrl = None
     ctrl_raw = raw.get("controller")
     if ctrl_raw is None:
         errors.append("controller: required")
     elif isinstance(ctrl_raw, list):
-        parsed = [
+        ctrl = [
             _parse_controller_entry(entry, f"controller[{i}]", errors)
             for i, entry in enumerate(ctrl_raw)
         ]
-        if n_nodes is not None and len(parsed) != n_nodes:
+        if n_nodes is not None and len(ctrl) != n_nodes:
             errors.append(
                 f"controller: expected {n_nodes} entries for plant "
-                f"'{plant_name}', got {len(parsed)}"
+                f"'{plant_name}', got {len(ctrl)}"
             )
-        if all(p is not None for p in parsed):
-            ctrl_names = [p[0] for p in parsed]
-            ctrl_params = [p[1] for p in parsed]
     else:
-        parsed = _parse_controller_entry(ctrl_raw, "controller", errors)
-        if parsed is not None and n_nodes is not None:
-            ctrl_names = [parsed[0]] * n_nodes
-            ctrl_params = [parsed[1]] * n_nodes
+        ctrl = _parse_controller_entry(ctrl_raw, "controller", errors)
 
     x0_raw = raw.get("x0")
     x0: tuple[float, ...] = ()
@@ -272,8 +278,8 @@ def validate(raw) -> Scenario:
     ):
         errors.append("x0: required list of numbers")
     else:
-        x0 = tuple(float(v) for v in x0_raw)
-        if any(not math.isfinite(v) for v in x0):
+        x0 = tuple(_float(v, f"x0[{i}]", errors) for i, v in enumerate(x0_raw))
+        if any(v is not None and not math.isfinite(v) for v in x0):
             errors.append("x0: entries must be finite")
         if n_nodes is not None and len(x0) != 2 * n_nodes:
             errors.append(
@@ -300,10 +306,12 @@ def validate(raw) -> Scenario:
         est = False
 
     cutoff = raw.get("velocity_filter_cutoff_hz", 20.0)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)) \
-            or not math.isfinite(float(cutoff)) or float(cutoff) <= 0:
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)):
         errors.append("velocity_filter_cutoff_hz: expected a number > 0")
-        cutoff = 20.0
+    else:
+        cutoff = _float(cutoff, "velocity_filter_cutoff_hz", errors)
+        if cutoff is not None and not (math.isfinite(cutoff) and cutoff > 0):
+            errors.append("velocity_filter_cutoff_hz: expected a number > 0")
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
@@ -319,19 +327,20 @@ def validate(raw) -> Scenario:
     if errors:
         raise ScenarioValidationError(errors)
 
+    ctrl_names, ctrl_params = zip(*(ctrl if isinstance(ctrl, list) else [ctrl] * n_nodes))
     return Scenario(
         name=name,
         plant=plant_name,
         plant_params=plant_params,
-        controller=tuple(ctrl_names),
-        controller_params=tuple(ctrl_params),
+        controller=ctrl_names,
+        controller_params=ctrl_params,
         x0=x0,
         sim=sim_cfg,
         noise=noise_cfg,
         disturbance=dist,
         delay=delay,
         estimate_velocity=est,
-        velocity_filter_cutoff_hz=float(cutoff),
+        velocity_filter_cutoff_hz=cutoff,
         views=tuple(views_raw),
         matrix_group=group,
     )
@@ -352,9 +361,6 @@ def _default_controller(name: str, lam: float):
     return controllers.param_type(name)()
 
 
-_BASELINE_ORDER = ("classical", "super-twisting", "adaptive", "observer-free")
-
-
 def builtin_suite() -> list[Scenario]:
     """The shipped benchmark: four plants under four controllers, a
     robustness trio on the Van der Pol plant, and one input-delay probe."""
@@ -367,7 +373,7 @@ def builtin_suite() -> list[Scenario]:
     )
     for fig, plant_name, plant_params, x0, lam in comparisons:
         n = plant_params.n if plant_name == "network5" else 1
-        for ctrl in _BASELINE_ORDER:
+        for ctrl in metrics.CONTROLLER_ORDER:
             params = [_default_controller(ctrl, lam) for _ in range(n)]
             suite.append(
                 Scenario(

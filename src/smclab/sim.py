@@ -229,73 +229,77 @@ def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
     return np.array(out)
 
 
+_PER_NODE = ("x", "v", "u", "alpha", "beta", "s", "V")
+
+
+def _node_field(j: int):
+    # columns 1 + j, 8 + j, ...: one per node, never the trailing d
+    return property(lambda self: self.table[:, 1 + j:-1:len(_PER_NODE)])
+
+
 @dataclass
 class TimeSeries:
     """Recorded run: time, true state, applied control and diagnostics.
 
-    Arrays are (samples,) for ``t`` and ``d`` and (samples, nodes) for the
-    rest.  CSV column order is ``t``, then per node ``x, v, u, alpha, beta,
-    s, V``, then ``d``; single-node runs drop the node suffix.
+    ``table`` is one (samples, 2 + 7 * nodes) array in CSV column order:
+    ``t``, then per node ``x, v, u, alpha, beta, s, V``, then ``d``;
+    single-node runs drop the node suffix from the names.  The fields are
+    read-only views of that table: ``t`` and ``d`` are (samples,), the
+    rest (samples, nodes).
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    s: np.ndarray
-    V: np.ndarray
-    d: np.ndarray
+    table: np.ndarray
     diverged: bool = False
     diverged_at: float | None = None
 
-    _PER_NODE = ("x", "v", "u", "alpha", "beta", "s", "V")
+    t = property(lambda self: self.table[:, 0])
+    x, v, u, alpha, beta, s, V = map(_node_field, range(len(_PER_NODE)))
+    d = property(lambda self: self.table[:, -1])
+
+    def __post_init__(self):
+        width = self.table.shape[1] if self.table.ndim == 2 else 0
+        if width < 2 + len(_PER_NODE) or (width - 2) % len(_PER_NODE):
+            raise InvalidInputError(
+                f"table shape {self.table.shape} is not (samples, 2 + 7 * nodes)"
+            )
 
     @property
     def n_nodes(self) -> int:
-        return self.x.shape[1]
+        return (self.table.shape[1] - 2) // len(_PER_NODE)
 
     @property
     def n_samples(self) -> int:
-        return self.t.shape[0]
+        return self.table.shape[0]
 
     def column_names(self) -> list[str]:
         return self._layout(self.n_nodes)
 
-    @classmethod
-    def _layout(cls, n_nodes: int) -> list[str]:
+    @staticmethod
+    def _layout(n_nodes: int) -> list[str]:
         names = ["t"]
         for i in range(n_nodes):
             suffix = "" if n_nodes == 1 else str(i + 1)
-            names.extend(f"{base}{suffix}" for base in cls._PER_NODE)
+            names.extend(f"{base}{suffix}" for base in _PER_NODE)
         names.append("d")
         return names
 
     def column(self, name: str) -> np.ndarray:
-        table = dict(zip(self.column_names(), self._columns()))
-        if name not in table:
+        names = self.column_names()
+        if name not in names:
             raise InvalidInputError(
-                f"unknown column '{name}', available: {', '.join(table)}"
+                f"unknown column '{name}', available: {', '.join(names)}"
             )
-        return table[name]
-
-    def _columns(self) -> list[np.ndarray]:
-        cols = [self.t]
-        for i in range(self.n_nodes):
-            cols.extend(getattr(self, base)[:, i] for base in self._PER_NODE)
-        cols.append(self.d)
-        return cols
+        return self.table[:, names.index(name)]
 
     def write_csv(self, path) -> None:
-        cols = self._columns()
-        names = self.column_names()
         with open(path, "w", newline="") as f:
             if self.diverged:
                 f.write(f"# diverged_at={self.diverged_at!r}\n")
-            f.write(",".join(names) + "\n")
-            for row in zip(*cols):
-                f.write(",".join(repr(float(val)) for val in row) + "\n")
+            f.write(",".join(self.column_names()) + "\n")
+            # one row at a time: a whole-table tolist() holds every cell as
+            # a Python float at once
+            for row in self.table:
+                f.write(",".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "TimeSeries":
@@ -315,8 +319,7 @@ class TimeSeries:
         if not lines:
             raise InvalidInputError(f"{path}: empty CSV")
         names = lines[0].split(",")
-        per = len(cls._PER_NODE)
-        n_nodes, rest = divmod(len(names) - 2, per)
+        n_nodes, rest = divmod(len(names) - 2, len(_PER_NODE))
         if rest or n_nodes < 1 or names != cls._layout(n_nodes):
             raise InvalidInputError(f"{path}: header is not a run CSV layout")
         diverged = False
@@ -333,19 +336,7 @@ class TimeSeries:
             raise InvalidInputError(f"{path}: malformed CSV: {exc}") from None
         if data.ndim != 2 or data.shape[1] != len(names):
             raise InvalidInputError(f"{path}: malformed CSV body")
-        fields = {
-            base: np.stack(
-                [data[:, 1 + i * per + j] for i in range(n_nodes)], axis=1
-            )
-            for j, base in enumerate(cls._PER_NODE)
-        }
-        return cls(
-            t=data[:, 0],
-            d=data[:, -1],
-            diverged=diverged,
-            diverged_at=diverged_at,
-            **fields,
-        )
+        return cls(data, diverged=diverged, diverged_at=diverged_at)
 
 
 def simulate_run(scenario) -> TimeSeries:
@@ -362,9 +353,10 @@ def simulate_run(scenario) -> TimeSeries:
     expressions used, so the bits are those of the array form.  numpy stays
     where it pays or where it rounds differently: noise is drawn in blocks
     of NOISE_BLOCK per stream and converted to floats once per block,
-    Duffing's x ** 3 runs on numpy's array power loop, rk4_step hands back
-    an ndarray, and each recorded step writes one row into preallocated
-    buffers.  The input gain is constant and read once per run.
+    Duffing's x ** 3 runs on numpy's array power loop, and rk4_step hands
+    back an ndarray.  The record is one preallocated table in CSV column
+    order (see TimeSeries), one row per recorded step.  The input gain is
+    constant and read once per run.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
@@ -393,14 +385,7 @@ def simulate_run(scenario) -> TimeSeries:
     state = x0.tolist()
     g = plant.gain(x0).tolist()
 
-    n_rec = n_steps // stride + 1
-    rec_t = np.empty(n_rec)
-    rec_d = np.empty(n_rec)
-    rec_state = np.empty((n_rec, 2 * n))
-    rec_u = np.empty((n_rec, n))
-    rec_diag = np.empty((n_rec, n, 4))   # alpha, beta, s, V
-    rec_diag_rows = rec_diag.reshape(n_rec, 4 * n)
-
+    table = np.empty((n_steps // stride + 1, 2 + len(_PER_NODE) * n))
     diverged_at = None
     rec_i = 0
 
@@ -414,11 +399,12 @@ def simulate_run(scenario) -> TimeSeries:
         d = eval_disturbance(scenario.disturbance, t)
 
         if k % stride == 0:
-            rec_t[rec_i] = t
-            rec_d[rec_i] = d
-            rec_state[rec_i] = state
-            rec_u[rec_i] = u_applied
-            rec_diag_rows[rec_i] = [value for o in outs for value in o[1:]]
+            row = [t]
+            nodes = zip(state[0::2], state[1::2], u_applied, outs)
+            for x, v, u, (_, alpha, beta, s, V) in nodes:
+                row += x, v, u, alpha, beta, s, V
+            row.append(d)
+            table[rec_i] = row
             rec_i += 1
 
         if k == n_steps:
@@ -436,15 +422,5 @@ def simulate_run(scenario) -> TimeSeries:
             break
 
     return TimeSeries(
-        t=rec_t[:rec_i],
-        x=rec_state[:rec_i, 0::2],
-        v=rec_state[:rec_i, 1::2],
-        u=rec_u[:rec_i],
-        alpha=rec_diag[:rec_i, :, 0],
-        beta=rec_diag[:rec_i, :, 1],
-        s=rec_diag[:rec_i, :, 2],
-        V=rec_diag[:rec_i, :, 3],
-        d=rec_d[:rec_i],
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
+        table[:rec_i], diverged=diverged_at is not None, diverged_at=diverged_at
     )

@@ -157,6 +157,15 @@ def test_run_honours_out_env_var(tmp_path, monkeypatch):
     assert (explicit / f"{FIG1}.csv").exists()
 
 
+def test_run_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
+    code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                 "--set", "controller.lambda=1" + "0" * 400])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "invalid scenario: controller.lambda: expected a finite number\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_bad_override_syntax(tmp_path, capsys):
     code = main(["run", FIG1, "--out-dir", str(tmp_path), "--set", "nonsense"])
     assert code == 2
@@ -250,6 +259,33 @@ def test_plot_out_naming_a_directory_is_config_error(fig1_csv, tmp_path, capsys)
     assert code == 2
     assert "cannot write" in _one_line_error(capsys)
     assert list(target.iterdir()) == []
+
+
+def test_plot_non_finite_values_are_config_errors(tmp_path, capsys):
+    # a real run: with k1 = 1e200, V = s^2 / 2 overflows to inf on every row
+    raw = {sc.name: sc for sc in scenarios.builtin_suite()}[FIG1].to_dict()
+    raw["controller"]["k1"] = 1e200
+    raw["sim"]["t_final"] = 0.01
+    ts = sim.simulate_run(scenarios.validate(raw))
+    path = tmp_path / "big_k1.csv"
+    ts.write_csv(path)
+    assert main(["plot", str(path), "--columns", "V"]) == 2
+    assert f"{path}: column 'V' holds nan or inf" in _one_line_error(capsys)
+    assert main(["plot", str(path), "--columns", "x"]) == 0
+    capsys.readouterr()
+
+    ts.table[1, 0] = float("nan")
+    ts.write_csv(path)
+    assert main(["plot", str(path), "--columns", "x"]) == 2
+    assert f"{path}: column 't' holds nan or inf" in _one_line_error(capsys)
+
+    # finite values whose range overflows a float
+    ts.table[:, 0] = range(ts.n_samples)
+    ts.table[:, 1] = 1e308
+    ts.table[0, 1] = -1e308
+    ts.write_csv(path)
+    assert main(["plot", str(path), "--columns", "x"]) == 2
+    assert "span more than a float can hold" in _one_line_error(capsys)
 
 
 def test_plot_empty_columns(fig1_csv, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from smclab import metrics
+from smclab import metrics, scenarios, sim
 from smclab.errors import InvalidInputError
 from smclab.metrics import (
     DEFAULT_THRESHOLDS,
@@ -309,6 +309,17 @@ def test_pendulum_reports_regression(suite_serial):
     assert cl.max_slew == 10000.0
     assert cl.overshoot == 0.0
     assert cl.max_abs_u == 5.0
+
+
+@pytest.mark.xfail(strict=True, reason="metrics read the strided recording (ROADMAP 2b)")
+def test_record_stride_keeps_full_rate_metrics(suite_serial):
+    result, _, _ = suite_serial
+    full = result.runs["fig1_pendulum_classical"][1]
+    raw = {sc.name: sc for sc in scenarios.builtin_suite()}["fig1_pendulum_classical"].to_dict()
+    raw["sim"]["record_stride"] = 10
+    strided = compute_report(sim.simulate_run(scenarios.validate(raw)))
+    assert strided.chattering_index == full.chattering_index
+    assert strided.max_slew == full.max_slew
 
 
 def test_network_report_regression(suite_serial):

@@ -1,6 +1,7 @@
 """Scenario schema, validation, the built-in suite, and the batch driver."""
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,38 @@ def test_recorded_sample_cap_is_a_violation():
     del raw["bogus"]
     raw["sim"]["record_stride"] = 2
     assert validate(raw).sim.record_stride == 2
+
+
+def test_integers_too_large_for_a_float_are_violations():
+    huge = 10 ** 400
+    raw = _fig1_raw()
+    raw["plant"]["a"] = huge
+    raw["x0"] = [0.5, huge]
+    raw["velocity_filter_cutoff_hz"] = huge
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == [
+        "plant.a: expected a finite number",
+        "x0[1]: expected a finite number",
+        "velocity_filter_cutoff_hz: expected a finite number",
+    ]
+
+
+def test_unchecked_node_count_allocates_nothing_per_node():
+    # a 2-element x0 for a million nodes: validation must fail without
+    # building per-node controller lists
+    raw = _suite_by_name()["fig4_network5_observer_free"].to_dict()
+    raw["plant"]["n"] = 10 ** 6
+    raw["x0"] = [0.1, 0.0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioValidationError) as err:
+            validate(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert any("x0: expected length 2000000" in msg for msg in err.value.errors)
 
 
 def test_unknown_fields_and_schema_version():

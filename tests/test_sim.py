@@ -1,6 +1,7 @@
 """Integrator, noise, delay, derivative estimation, and the run loop."""
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,7 +355,7 @@ def _reference_run(scenario) -> TimeSeries:
     est = [0.0] * n
 
     state = np.asarray(scenario.x0, dtype=float)
-    rec = {name: [] for name in ("t", "d", *TimeSeries._PER_NODE)}
+    rows = []
     for k in range(n_steps + 1):
         t = k * dt
         measured = np.array(state, dtype=float)
@@ -382,20 +383,19 @@ def _reference_run(scenario) -> TimeSeries:
         d = sim.eval_disturbance(scenario.disturbance, t)
 
         if k % stride == 0:
-            rec["t"].append(t)
-            rec["d"].append(d)
-            rec["x"].append(state[0::2])
-            rec["v"].append(state[1::2])
-            rec["u"].append(applied)
-            for name in ("alpha", "beta", "s", "V"):
-                rec[name].append([getattr(o, name) for o in outs])
+            # column order: t, per node x, v, u, alpha, beta, s, V, then d
+            row = [t]
+            for i, o in enumerate(outs):
+                row += [state[2 * i], state[2 * i + 1], applied[i],
+                        o.alpha, o.beta, o.s, o.V]
+            rows.append(row + [d])
         if k == n_steps:
             break
         u_vec = np.array(applied)
         state = rk4_step(lambda y, tau: plant.derivative(y, tau, u_vec, d), state, t, dt)
         assert np.abs(state).max() <= sim.DIVERGENCE_LIMIT
 
-    return TimeSeries(**{name: np.array(rows, dtype=float) for name, rows in rec.items()})
+    return TimeSeries(np.array(rows, dtype=float))
 
 
 _MIXED_LAWS = [
@@ -507,11 +507,42 @@ def test_read_csv_rejects_malformed_input(tmp_path):
 
 
 def test_timeseries_column_access():
-    ts = simulate_run(scenarios.validate(_pendulum_raw(sim={"dt": 1e-3, "t_final": 0.1})))
-    assert ts.column_names() == ["t", "x", "v", "u", "alpha", "beta", "s", "V", "d"]
-    assert np.array_equal(ts.column("x"), ts.x[:, 0])
-    with pytest.raises(InvalidInputError):
-        ts.column("z")
+    single = simulate_run(scenarios.validate(_pendulum_raw(sim={"dt": 1e-3, "t_final": 0.1})))
+    assert single.column_names() == ["t", "x", "v", "u", "alpha", "beta", "s", "V", "d"]
+    network = simulate_run(scenarios.validate(
+        _network_raw("ring", sim={"dt": 1e-3, "t_final": 0.1})))
+    for ts in (single, network):
+        names = ts.column_names()
+        assert len(names) == ts.table.shape[1] == 2 + 7 * ts.n_nodes
+        for name in names:
+            base = name.rstrip("0123456789")
+            field = getattr(ts, base)
+            node = int(name[len(base):] or 1) - 1
+            want = field if field.ndim == 1 else field[:, node]
+            assert np.array_equal(ts.column(name), want), name
+        with pytest.raises(InvalidInputError):
+            ts.column("z")
+    assert network.n_nodes == 5
+
+
+def test_timeseries_rejects_a_table_that_is_not_a_run_layout():
+    for shape in [(3,), (3, 8), (3, 10)]:
+        with pytest.raises(InvalidInputError):
+            TimeSeries(np.zeros(shape))
+
+
+def test_write_csv_peak_memory_stays_small(tmp_path):
+    """Rows are converted one at a time: a whole-table ``tolist()`` of this
+    20,001-row run would hold about 7 MB of Python floats at once."""
+    ts = simulate_run(scenarios.validate(_pendulum_raw(sim={"dt": 1e-3, "t_final": 20.0})))
+    assert ts.n_samples == 20001
+    tracemalloc.start()
+    try:
+        ts.write_csv(tmp_path / "run.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_network_column_names_are_suffixed():
@@ -537,13 +568,9 @@ def _series(draw):
     n_samples = draw(st.integers(1, 6))
     n_nodes = draw(st.sampled_from([1, 2, 5]))
     values = st.floats(width=64)
-    fields = {
-        name: draw(arrays(float, (n_samples,) if name in ("t", "d") else (n_samples, n_nodes),
-                          elements=values))
-        for name in _FIELDS
-    }
+    table = draw(arrays(float, (n_samples, 2 + 7 * n_nodes), elements=values))
     at = draw(st.none() | values)
-    return TimeSeries(diverged=at is not None, diverged_at=at, **fields)
+    return TimeSeries(table, diverged=at is not None, diverged_at=at)
 
 
 @given(ts=_series())
