@@ -4,11 +4,11 @@ from .controllers import (
     AdaptiveParams,
     ClassicalParams,
     ControlOutput,
+    Controller,
     ObserverFreeParams,
     SuperTwistingParams,
     adaptive_smc_control,
     classical_smc_control,
-    make_controller,
     observer_free_control,
     super_twisting_control,
     tanh_fast,

@@ -1,6 +1,6 @@
 """Command line interface: run scenarios, execute the suite, plot CSVs.
 
-Exit codes: 0 success, 2 configuration problem, 3 divergence,
+Exit codes: 0 success, 2 configuration problem, 3 divergence or overflow,
 4 suite finished with partial failures.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import metrics, scenarios, sim
+from . import scenarios, sim
 from .errors import ScenarioValidationError, SmcLabError
 
 EXIT_OK = 0
@@ -31,17 +31,18 @@ _PALETTE = (
     "#9467bd", "#8c564b", "#17becf", "#7f7f7f",
 )
 _MAX_POINTS = 2000
+_TICKS = 6      # most ticks per axis
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (mult * mag) <= target:
+        if span / (mult * mag) <= _TICKS:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
@@ -54,9 +55,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def render_line_svg(traces, title: str = "", xlabel: str = "t [s]",
-                    ylabel: str = "") -> str:
-    """Self-contained SVG line chart; traces are (label, xs, ys) triples."""
+def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
+    """Self-contained SVG line chart over t; traces are (label, xs, ys) triples."""
     width, height = 800.0, 480.0
     ml, mr, mt, mb = 72.0, 16.0, 36.0, 48.0
     xs_all = np.concatenate([np.asarray(t[1], dtype=float) for t in traces])
@@ -144,7 +144,7 @@ def render_line_svg(traces, title: str = "", xlabel: str = "t [s]",
         )
     parts.append(
         f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" '
-        f'font-size="12" text-anchor="middle" fill="#111111">{escape(xlabel)}</text>'
+        f'font-size="12" text-anchor="middle" fill="#111111">t [s]</text>'
     )
     if ylabel:
         parts.append(
@@ -210,6 +210,19 @@ def _node_traces(ts: sim.TimeSeries, base: str):
     ]
 
 
+def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path) -> list[Path]:
+    """Write one SVG per view in ``views`` (see ``scenarios.VIEWS``)."""
+    written = []
+    for view, (suffix, column, ylabel) in scenarios.VIEWS.items():
+        if view in views:
+            path = out_dir / f"{name}{suffix}"
+            path.write_text(
+                render_line_svg(_node_traces(ts, column), title=name, ylabel=ylabel)
+            )
+            written.append(path)
+    return written
+
+
 def _load_raw_scenario(ref: str) -> dict:
     path = Path(ref)
     if path.exists():
@@ -239,36 +252,29 @@ def cmd_run(args) -> int:
 
     out_dir = _out_dir(args.out_dir)
     _make_dir(out_dir)
-    ts = sim.simulate_run(scenario)
+    ts, report = scenarios.run(scenario)
 
     csv_path = out_dir / f"{scenario.name}.csv"
     ts.write_csv(csv_path)
     written = [csv_path]
 
-    metrics_path = out_dir / f"{scenario.name}.metrics.txt"
-    if ts.n_samples >= 2:
-        report = metrics.compute_report(ts, run_key=scenarios.run_key(scenario))
+    if report is not None:
+        metrics_path = out_dir / f"{scenario.name}.metrics.txt"
         metrics_path.write_text(report.to_kv_text())
         written.append(metrics_path)
 
     if not args.no_svg:
-        svg_path = out_dir / f"{scenario.name}.svg"
-        svg_path.write_text(
-            render_line_svg(
-                _node_traces(ts, "x"), title=scenario.name, ylabel="position"
-            )
-        )
-        written.append(svg_path)
+        # `run` draws the state view whatever the scenario's views say
+        written += _write_views(ts, scenario.name, ("state",), out_dir)
 
     for path in written:
         print(f"wrote {path}")
-    if ts.diverged:
-        print(
-            f"run diverged at t={ts.diverged_at:.6g} s, partial output written",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
-    return EXIT_OK
+    why = scenarios.failure(ts, report)
+    if why is None:
+        return EXIT_OK
+    partial = ", partial output written" if ts.diverged else ""
+    print(f"run {why}{partial}", file=sys.stderr)
+    return EXIT_DIVERGED
 
 
 def cmd_suite(args) -> int:
@@ -282,16 +288,7 @@ def cmd_suite(args) -> int:
 
     by_name = {sc.name: sc for sc in suite}
     for name in sorted(result.runs):
-        ts, _ = result.runs[name]
-        views = by_name[name].views
-        if "state" in views:
-            (out_dir / f"{name}.svg").write_text(
-                render_line_svg(_node_traces(ts, "x"), title=name, ylabel="position")
-            )
-        if "control" in views:
-            (out_dir / f"{name}.u.svg").write_text(
-                render_line_svg(_node_traces(ts, "u"), title=name, ylabel="control")
-            )
+        _write_views(result.runs[name][0], name, by_name[name].views, out_dir)
 
     for group in sorted(result.matrices):
         print(f"=== {group} ===")

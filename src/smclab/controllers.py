@@ -30,9 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, SingularGainError
+from .plants import G_MIN
 
-G_MIN = 1e-9
 TANH_TABLE_MIN = 64
+TANH_TABLE_MAX = 2 ** 16    # 1 MB of grid and table
 TANH_TABLE_SPAN = 6.0
 
 
@@ -68,15 +69,18 @@ def _sign(s: float) -> float:
 class ObserverFreeParams:
     k1: float = 1.0             # surface slope, alpha = v + k1 x
     lam: float = 5.0            # control amplitude, |u| <= lam
-    tanh_table_size: int = 0    # 0 = exact tanh, >=64 = lookup table
+    tanh_table_size: int = 0    # 0 = exact tanh, 64 .. 2**16 = lookup table
 
     def __post_init__(self):
         if not (math.isfinite(self.k1) and self.k1 > 0):
             raise ConfigError("observer-free k1 must be > 0")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError("observer-free lambda must be > 0")
-        if self.tanh_table_size != 0 and self.tanh_table_size < TANH_TABLE_MIN:
-            raise ConfigError(f"tanh table size must be 0 or >= {TANH_TABLE_MIN}")
+        size = self.tanh_table_size
+        if size != 0 and not TANH_TABLE_MIN <= size <= TANH_TABLE_MAX:
+            raise ConfigError(
+                f"tanh table size must be 0 or in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,8 @@ def tanh_fast(alpha: float, table_size: int = 1024) -> float:
     and negative arguments are mirrored.  Max absolute error is <= 1e-3 for
     ``table_size >= 1024``.
     """
-    if table_size < TANH_TABLE_MIN:
-        raise ConfigError(f"tanh table size must be >= {TANH_TABLE_MIN}")
+    if not TANH_TABLE_MIN <= table_size <= TANH_TABLE_MAX:
+        raise ConfigError(f"tanh table size must lie in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]")
     grid, table = _tanh_table(table_size)
     a = abs(alpha)
     if a >= TANH_TABLE_SPAN:
@@ -299,7 +303,3 @@ class Controller:
     def step(self, x, v, g_val, dt) -> ControlOutput:
         out, self.state = self._law(self.params, self.state, x, v, g_val, dt)
         return out
-
-
-def make_controller(name: str, params=None) -> Controller:
-    return Controller(name, params)

@@ -6,6 +6,7 @@ stay traceable to their definitions.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -129,34 +130,21 @@ def sync_error(x_matrix) -> tuple[np.ndarray, float]:
 
 @dataclass
 class MetricsReport:
-    """Flat per-run record; None marks undefined entries."""
+    """Flat per-run record; None marks undefined entries.  ``FIELDS``, the
+    written columns, are the dataclass fields but ``run_key``."""
 
     settling_time: float | None
     overshoot: float | None
-    chattering_index: float
-    control_effort: float
-    max_abs_u: float
-    max_slew: float
-    lyap_violation_count: int
+    chattering_index: float | None
+    control_effort: float | None
+    max_abs_u: float | None
+    max_slew: float | None
+    lyap_violation_count: int | None
     lyap_epsilon_hat: float | None
     sync_error_final: float | None
     steady_state_error: float
     diverged: bool = False
     run_key: str = ""
-
-    FIELDS = (
-        "settling_time",
-        "overshoot",
-        "chattering_index",
-        "control_effort",
-        "max_abs_u",
-        "max_slew",
-        "lyap_violation_count",
-        "lyap_epsilon_hat",
-        "sync_error_final",
-        "steady_state_error",
-        "diverged",
-    )
 
     def to_kv_text(self) -> str:
         lines = [f"# {name}: {FORMULAS[name]}" for name in FORMULAS]
@@ -173,6 +161,11 @@ class MetricsReport:
         return ",".join(_fmt(getattr(self, name)) for name in self.FIELDS)
 
 
+MetricsReport.FIELDS = tuple(
+    f.name for f in dataclasses.fields(MetricsReport) if f.name != "run_key"
+)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "none"
@@ -183,14 +176,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def compute_report(ts, band: float = DEFAULT_THRESHOLDS.settling_band,
-                   run_key: str = "") -> MetricsReport:
+def compute_report(ts, run_key: str = "") -> MetricsReport:
     """Build the standard report for one recorded run.
 
-    Position metrics use the node-mean trajectory; control metrics take the
-    worst node except effort, which sums over nodes.  Lyapunov statistics
-    aggregate V and s^2 over nodes, which reduces to the single-node
-    definition for one node.
+    Position metrics use the node-mean trajectory and the default settling
+    band; control metrics take the worst node except effort, which sums
+    over nodes.  Lyapunov statistics aggregate V and s^2 over nodes, which
+    reduces to the single-node definition for one node.  The control
+    metrics are None when u^2 or du/dt overflow, the Lyapunov ones when
+    the sums of V or s^2 do; the run then counts as diverged, as does a
+    diverged series.
     """
     if ts.n_samples < 2:
         raise InvalidInputError("need at least two samples to compute metrics")
@@ -202,15 +197,23 @@ def compute_report(ts, band: float = DEFAULT_THRESHOLDS.settling_band,
     if x_mean[0] != 0.0:
         over = overshoot(x_mean, target=0.0, x0=float(x_mean[0]))
 
-    chat = max(chattering_index(ts.u[:, i]) for i in range(n))
-    effort = float(np.sum(ts.u ** 2) * dt)
-    max_u = float(np.max(np.abs(ts.u)))
-    slews = np.abs(np.diff(ts.u, axis=0)) / dt
-    max_slew = float(np.max(slews)) if slews.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        effort = float(np.sum(ts.u ** 2) * dt)
+        slews = np.abs(np.diff(ts.u, axis=0)) / dt
+        v_total = ts.V.sum(axis=1)
+        s_eff = np.sqrt((ts.s ** 2).sum(axis=1))
+    # a finite effort means every u and u^2 is finite
+    u_ok = math.isfinite(effort) and np.isfinite(slews).all()
+    v_ok = np.isfinite(v_total).all() and np.isfinite(s_eff).all()
 
-    v_total = ts.V.sum(axis=1)
-    s_eff = np.sqrt((ts.s ** 2).sum(axis=1))
-    violations, eps_hat = lyapunov_stats(v_total, s_eff, dt)
+    chat = max_u = max_slew = None
+    if u_ok:
+        chat = max(chattering_index(ts.u[:, i]) for i in range(n))
+        max_u = float(np.max(np.abs(ts.u)))
+        max_slew = float(np.max(slews))
+    else:
+        effort = None
+    violations, eps_hat = lyapunov_stats(v_total, s_eff, dt) if v_ok else (None, None)
 
     sync_final = None
     if n >= 2:
@@ -220,7 +223,7 @@ def compute_report(ts, band: float = DEFAULT_THRESHOLDS.settling_band,
     steady = float(np.mean(np.abs(x_mean[-tail:])))
 
     return MetricsReport(
-        settling_time=settling_time(x_mean, band, dt),
+        settling_time=settling_time(x_mean, DEFAULT_THRESHOLDS.settling_band, dt),
         overshoot=over,
         chattering_index=chat,
         control_effort=effort,
@@ -230,7 +233,7 @@ def compute_report(ts, band: float = DEFAULT_THRESHOLDS.settling_band,
         lyap_epsilon_hat=eps_hat,
         sync_error_final=sync_final,
         steady_state_error=steady,
-        diverged=ts.diverged,
+        diverged=ts.diverged or not (u_ok and v_ok),
         run_key=run_key,
     )
 
@@ -261,6 +264,12 @@ class ComparisonMatrix:
     def verdict(self, prop: str, controller: str):
         return self.cells[prop][controller]
 
+    def _cell(self, prop: str, controller: str) -> tuple[str, float | None]:
+        """The n/a, yes or no mark of one cell, and its measured value."""
+        verdict = self.cells[prop][controller]
+        mark = "n/a" if verdict is None else ("yes" if verdict else "no")
+        return mark, self.measured[prop][controller]
+
     def to_text(self) -> str:
         width = max(len(p) for p in MATRIX_PROPERTIES) + 2
         cols = [f"{c:>16}" for c in self.controllers]
@@ -268,9 +277,7 @@ class ComparisonMatrix:
         for prop in MATRIX_PROPERTIES:
             row = [f"{prop:<{width}}"]
             for c in self.controllers:
-                verdict = self.cells[prop][c]
-                mark = "n/a" if verdict is None else ("yes" if verdict else "no")
-                value = self.measured[prop][c]
+                mark, value = self._cell(prop, c)
                 text = mark if value is None else f"{mark} ({value:.3g})"
                 row.append(f"{text:>16}")
             lines.append("".join(row))
@@ -280,9 +287,7 @@ class ComparisonMatrix:
         rows = ["property,controller,verdict,measured"]
         for prop in MATRIX_PROPERTIES:
             for c in self.controllers:
-                verdict = self.cells[prop][c]
-                mark = "n/a" if verdict is None else ("yes" if verdict else "no")
-                value = self.measured[prop][c]
+                mark, value = self._cell(prop, c)
                 rows.append(
                     f"{prop},{c},{mark},{'' if value is None else repr(value)}"
                 )

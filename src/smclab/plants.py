@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, SingularGainError
 
 G_MIN = 1e-9
-PLANT_NAMES = ("pendulum", "vdp", "duffing", "network5")
 TOPOLOGIES = ("ring", "chain")
 
 
@@ -196,19 +195,25 @@ class PlantModel:
         return np.array(out) if as_array else out
 
 
-# name -> (params type, acceleration function)
+# name -> (params type, acceleration function, params -> (nodes, input gain))
 _PLANTS = {
-    "pendulum": (PendulumParams, _pendulum_acc),
-    "vdp": (VanDerPolParams, _vdp_acc),
-    "duffing": (DuffingParams, _duffing_acc),
-    "network5": (NetworkParams, _network_acc),
+    "pendulum": (PendulumParams, _pendulum_acc, lambda p: (1, p.b)),
+    "vdp": (VanDerPolParams, _vdp_acc, lambda p: (1, p.b)),
+    "duffing": (DuffingParams, _duffing_acc, lambda p: (1, p.b)),
+    "network5": (NetworkParams, _network_acc, lambda p: (p.n, p.node.b)),
 }
+PLANT_NAMES = tuple(_PLANTS)
 
 
 def param_type(name: str):
     if name not in _PLANTS:
         raise ConfigError(f"unknown plant '{name}', expected one of {PLANT_NAMES}")
     return _PLANTS[name][0]
+
+
+def node_count(name: str, params) -> int:
+    """Number of nodes of the named plant with these parameters."""
+    return _PLANTS[name][2](params)[0]
 
 
 def make_plant(name: str, params=None) -> PlantModel:
@@ -218,10 +223,6 @@ def make_plant(name: str, params=None) -> PlantModel:
         params = cls()
     if not isinstance(params, cls):
         raise ConfigError(f"plant '{name}' expects {cls.__name__} parameters")
-
-    if name == "network5":
-        n, b = params.n, params.node.b
-    else:
-        n, b = 1, params.b
+    n, b = _PLANTS[name][2](params)
     return PlantModel(name=name, n_nodes=n, params=params,
                       f=_PLANTS[name][1], g=np.full(n, float(b)))

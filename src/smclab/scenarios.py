@@ -40,10 +40,8 @@ from .errors import ConfigError, ScenarioValidationError
 SCHEMA_VERSION = 1
 DELAY_PROBE_TAU = 0.01
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-_VIEWS = ("state", "control")
-
-# dataclass fields that stay integers when parsed from JSON
-_INT_FIELDS = {"n", "seed", "record_stride", "tanh_table_size"}
+# view name -> (SVG file suffix, plotted per-node column, y axis label)
+VIEWS = {"state": (".svg", "x", "position"), "control": (".u.svg", "u", "control")}
 # JSON key aliases for reserved or awkward Python names
 _ALIASES = {"lambda": "lam"}
 _ALIASES_BACK = {"lam": "lambda"}
@@ -70,14 +68,14 @@ class Scenario:
 
     @property
     def n_nodes(self) -> int:
-        return self.plant_params.n if self.plant == "network5" else 1
+        return plants.node_count(self.plant, self.plant_params)
 
     def make_plant(self) -> plants.PlantModel:
         return plants.make_plant(self.plant, self.plant_params)
 
     def make_controllers(self) -> list[controllers.Controller]:
         return [
-            controllers.make_controller(name, params)
+            controllers.Controller(name, params)
             for name, params in zip(self.controller, self.controller_params)
         ]
 
@@ -137,44 +135,33 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
         errors.append(f"{path}: expected an object")
         return None
     valid = {f.name: f for f in dataclasses.fields(cls)}
+    n_before = len(errors)
     kwargs = {}
-    ok = True
     for key, val in table.items():
         name = (aliases or {}).get(key, key)
         if name not in valid:
             errors.append(f"{path}.{key}: unknown parameter")
-            ok = False
-            continue
-        if isinstance(val, bool):
+        elif isinstance(val, bool):
             errors.append(f"{path}.{key}: expected a number")
-            ok = False
-        elif name in _INT_FIELDS:
-            if not isinstance(val, int):
-                errors.append(f"{path}.{key}: expected an integer")
-                ok = False
-            else:
+        # annotations are strings under postponed evaluation
+        elif valid[name].type in (int, "int"):
+            if isinstance(val, int):
                 kwargs[name] = val
+            else:
+                errors.append(f"{path}.{key}: expected an integer")
         elif isinstance(val, (int, float)):
             kwargs[name] = _float(val, f"{path}.{key}", errors)
-            ok = ok and kwargs[name] is not None
         elif isinstance(val, str):
             kwargs[name] = val
         elif isinstance(val, dict) and name == "node":
-            node = _build(plants.PendulumParams, val, f"{path}.node", errors)
-            if node is None:
-                ok = False
-            else:
-                kwargs[name] = node
+            kwargs[name] = _build(plants.PendulumParams, val, f"{path}.node", errors)
         else:
             errors.append(f"{path}.{key}: unsupported value type")
-            ok = False
-    if not ok:
+    if len(errors) > n_before:
         return None
     try:
         return cls(**kwargs)
-    except ConfigError as exc:
-        errors.append(f"{path}: {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError included
         errors.append(f"{path}: {exc}")
     return None
 
@@ -208,11 +195,8 @@ def validate(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioValidationError(["scenario: expected a JSON object"])
 
-    known = {
-        "schema", "name", "plant", "controller", "x0", "sim", "noise",
-        "disturbance", "delay", "estimate_velocity",
-        "velocity_filter_cutoff_hz", "views", "matrix_group",
-    }
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    known = {"schema"} | fields - {"plant_params", "controller_params"}
     for key in raw:
         if key not in known:
             errors.append(f"{key}: unknown field")
@@ -238,18 +222,13 @@ def validate(raw) -> Scenario:
                 f"plant.name: unknown plant {plant_name!r}, expected one of "
                 f"{plants.PLANT_NAMES}"
             )
-            plant_name = None
         else:
             table = {k: v for k, v in plant_raw.items() if k != "name"}
             plant_params = _build(
                 plants.param_type(plant_name), table, "plant", errors
             )
 
-    n_nodes = None
-    if plant_name == "network5" and plant_params is not None:
-        n_nodes = plant_params.n
-    elif plant_name is not None and plant_params is not None:
-        n_nodes = 1
+    n_nodes = None if plant_params is None else plants.node_count(plant_name, plant_params)
 
     # a list of per-node (name, params) pairs, or one pair for every node;
     # the per-node tuples are built only for a valid scenario, so an
@@ -315,8 +294,8 @@ def validate(raw) -> Scenario:
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
-            or any(v not in _VIEWS for v in views_raw):
-        errors.append(f"views: expected a non-empty list drawn from {_VIEWS}")
+            or any(v not in VIEWS for v in views_raw):
+        errors.append(f"views: expected a non-empty list drawn from {tuple(VIEWS)}")
         views_raw = ["state"]
 
     group = raw.get("matrix_group", "")
@@ -372,7 +351,7 @@ def builtin_suite() -> list[Scenario]:
         ("fig4", "network5", plants.NetworkParams(), _network_x0(), 5.0),
     )
     for fig, plant_name, plant_params, x0, lam in comparisons:
-        n = plant_params.n if plant_name == "network5" else 1
+        n = plants.node_count(plant_name, plant_params)
         for ctrl in metrics.CONTROLLER_ORDER:
             params = [_default_controller(ctrl, lam) for _ in range(n)]
             suite.append(
@@ -445,21 +424,44 @@ def _delayed_variant(sc: Scenario) -> Scenario:
     )
 
 
+def run(sc: Scenario):
+    """Simulate one scenario: (TimeSeries, MetricsReport), or (TimeSeries,
+    None) for a series too short to report on."""
+    ts = sim.simulate_run(sc)
+    if ts.n_samples < 2:
+        return ts, None
+    return ts, metrics.compute_report(ts, run_key=run_key(sc))
+
+
+def failure(ts: sim.TimeSeries, report) -> str | None:
+    """Why a finished run failed: its state diverged, or its metric inputs
+    overflowed (its report is marked diverged).  None if it did not fail."""
+    if ts.diverged:
+        return f"diverged at t={ts.diverged_at:.6g} s"
+    if report is not None and report.diverged:
+        finite = np.isfinite(ts.table).all(axis=0)
+        bad = [name for name, ok in zip(ts.column_names(), finite) if not ok]
+        return "overflowed: non-finite values in " + (", ".join(bad) or "the metric sums")
+    return None
+
+
 @dataclass
 class SuiteResult:
-    runs: dict                 # name -> (TimeSeries, MetricsReport)
+    runs: dict                 # name -> (TimeSeries, MetricsReport or None)
     matrices: dict             # matrix_group -> ComparisonMatrix
     failures: dict             # name -> message
-    out_dir: Path
 
 
 def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
-    """Execute scenarios, write CSV artifacts, build comparison matrices.
+    """Execute scenarios through :func:`run`, write CSV artifacts, build
+    comparison matrices.
 
-    Output bytes are independent of ``parallelism``: results are collected
-    behind a join barrier and written single-threaded in name order.  Each
-    scenario in a ``matrix_group`` is rerun with a 10 ms input delay to
-    fill the DelayTolerant row; those reruns are not written to disk.
+    A run that raises, diverges or overflows (:func:`failure`) is listed in
+    ``failures`` and the suite keeps going.  Output bytes are independent
+    of ``parallelism``: results are collected behind a join barrier and
+    written single-threaded in name order.  Each scenario in a
+    ``matrix_group`` is rerun with a 10 ms input delay to fill the
+    DelayTolerant row; those reruns are not written to disk.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -477,15 +479,10 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
             jobs.append((sc.name, True, _delayed_variant(sc)))
 
     def execute(job):
-        name, is_delayed, scenario = job
         try:
-            ts = sim.simulate_run(scenario)
-            report = None
-            if ts.n_samples >= 2:
-                report = metrics.compute_report(ts, run_key=run_key(scenario))
-            return name, is_delayed, ts, report, None
+            return *run(job[2]), None
         except Exception as exc:  # keep other runs alive, caller sees exit 4
-            return name, is_delayed, None, None, f"{type(exc).__name__}: {exc}"
+            return None, None, f"{type(exc).__name__}: {exc}"
 
     if parallelism == 1:
         outcomes = [execute(job) for job in jobs]
@@ -496,16 +493,17 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     runs = {}
     delayed_reports = {}
     failures = {}
-    for name, is_delayed, ts, report, error in outcomes:
+    for (name, is_delayed, scenario), (ts, report, error) in zip(jobs, outcomes):
         if error is not None:
-            failures[(name + "+delay10ms") if is_delayed else name] = error
+            failures[scenario.name] = error
             continue
         if is_delayed:
             delayed_reports[name] = report
             continue
         runs[name] = (ts, report)
-        if ts.diverged:
-            failures[name] = f"diverged at t={ts.diverged_at:.6g} s"
+        why = failure(ts, report)
+        if why is not None:
+            failures[name] = why
 
     for name in sorted(runs):
         runs[name][0].write_csv(out_dir / f"{name}.csv")
@@ -552,4 +550,4 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         with open(out_dir / f"matrix_{group}.csv", "w", newline="") as f:
             f.write("\n".join(matrix.csv_rows()) + "\n")
 
-    return SuiteResult(runs=runs, matrices=matrices, failures=failures, out_dir=out_dir)
+    return SuiteResult(runs=runs, matrices=matrices, failures=failures)

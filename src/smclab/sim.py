@@ -245,13 +245,14 @@ class TimeSeries:
     ``t``, then per node ``x, v, u, alpha, beta, s, V``, then ``d``;
     single-node runs drop the node suffix from the names.  The fields are
     read-only views of that table: ``t`` and ``d`` are (samples,), the
-    rest (samples, nodes).
+    rest (samples, nodes).  ``diverged_at`` is the time of the first
+    rejected state, None for a completed run; ``diverged`` follows from it.
     """
 
     table: np.ndarray
-    diverged: bool = False
     diverged_at: float | None = None
 
+    diverged = property(lambda self: self.diverged_at is not None)
     t = property(lambda self: self.table[:, 0])
     x, v, u, alpha, beta, s, V = map(_node_field, range(len(_PER_NODE)))
     d = property(lambda self: self.table[:, -1])
@@ -322,12 +323,10 @@ class TimeSeries:
         n_nodes, rest = divmod(len(names) - 2, len(_PER_NODE))
         if rest or n_nodes < 1 or names != cls._layout(n_nodes):
             raise InvalidInputError(f"{path}: header is not a run CSV layout")
-        diverged = False
         diverged_at = None
         try:
             for head in comments:
                 if head.startswith("# diverged_at="):
-                    diverged = True
                     diverged_at = float(head.split("=", 1)[1])
             data = np.array(
                 [[float(cell) for cell in line.split(",")] for line in lines[1:]]
@@ -336,7 +335,7 @@ class TimeSeries:
             raise InvalidInputError(f"{path}: malformed CSV: {exc}") from None
         if data.ndim != 2 or data.shape[1] != len(names):
             raise InvalidInputError(f"{path}: malformed CSV body")
-        return cls(data, diverged=diverged, diverged_at=diverged_at)
+        return cls(data, diverged_at=diverged_at)
 
 
 def simulate_run(scenario) -> TimeSeries:
@@ -421,6 +420,4 @@ def simulate_run(scenario) -> TimeSeries:
             diverged_at = t + dt
             break
 
-    return TimeSeries(
-        table[:rec_i], diverged=diverged_at is not None, diverged_at=diverged_at
-    )
+    return TimeSeries(table[:rec_i], diverged_at)

@@ -166,6 +166,30 @@ def test_run_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_tanh_table_over_the_limit_is_config_error(tmp_path, capsys):
+    code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                 "--set", "controller.tanh_table_size=1" + "0" * 400])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "invalid scenario: controller: tanh table size must be 0 or in [64, 65536]\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_overflowing_v_is_reported_as_diverged(tmp_path, capsys):
+    # k1 = 1e200 keeps the state and u finite, but V = s^2 / 2 overflows
+    code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                 "--set", "controller.k1=1e200", "--set", "sim.t_final=0.01"])
+    assert code == 3
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"{FIG1}.csv", f"{FIG1}.metrics.txt", f"{FIG1}.svg"]
+    assert capsys.readouterr().err == "run overflowed: non-finite values in V\n"
+    text = (tmp_path / f"{FIG1}.metrics.txt").read_text()
+    for line in ("diverged=true", "lyap_violation_count=none", "lyap_epsilon_hat=none"):
+        assert line in text.splitlines()
+
+
 def test_run_bad_override_syntax(tmp_path, capsys):
     code = main(["run", FIG1, "--out-dir", str(tmp_path), "--set", "nonsense"])
     assert code == 2

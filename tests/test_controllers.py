@@ -11,12 +11,12 @@ from smclab import controllers
 from smclab.controllers import (
     AdaptiveParams,
     ClassicalParams,
+    Controller,
     ObserverFreeParams,
     SuperTwistingParams,
     adaptive_smc_control,
     classical_smc_control,
     declared_input_bound,
-    make_controller,
     observer_free_control,
     super_twisting_control,
     tanh_fast,
@@ -237,18 +237,18 @@ def test_control_output_energy_identity():
 def test_stateful_params_are_isolated():
     # controllers sharing one frozen params instance keep separate state
     p = SuperTwistingParams()
-    a = make_controller("super-twisting", p)
-    b = make_controller("super-twisting", p)
+    a = Controller("super-twisting", p)
+    b = Controller("super-twisting", p)
     a.step(1.0, 0.0, 1.0, 0.1)
     assert a.state != 0.0 and b.state == 0.0
 
     template = AdaptiveParams(k0=2.0)
-    ctrl = make_controller("adaptive", template)
+    ctrl = Controller("adaptive", template)
     for _ in range(100):
         ctrl.step(1.0, 0.0, 1.0, 1e-3)
     assert ctrl.state > 2.0
     assert template.k0 == 2.0
-    assert make_controller("adaptive", template).state == 2.0
+    assert Controller("adaptive", template).state == 2.0
 
 
 def test_pure_params_are_frozen():
@@ -272,10 +272,10 @@ def test_declared_input_bounds():
 
 def test_make_controller_validation():
     with pytest.raises(ConfigError):
-        make_controller("pid")
+        Controller("pid")
     with pytest.raises(ConfigError):
-        make_controller("classical", ObserverFreeParams())
-    none_ctrl = make_controller("none")
+        Controller("classical", ObserverFreeParams())
+    none_ctrl = Controller("none")
     assert none_ctrl.step(3.0, 1.0, 1.0, 1e-3).u == 0.0
 
 
@@ -335,7 +335,7 @@ def test_property_controller_equals_threaded_state(pairs, g, dt):
         "adaptive": (AdaptiveParams(k0=2.0), adaptive_smc_control, 2.0),
     }
     for name, (p, law, state) in laws.items():
-        ctrl = make_controller(name, p)
+        ctrl = Controller(name, p)
         for x, v in pairs:
             out, state = law(x, v, dt, p, state)
             assert ctrl.step(x, v, g, dt) == out

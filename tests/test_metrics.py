@@ -1,5 +1,6 @@
 """Metric definitions on synthetic series plus frozen run regressions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,14 @@ def test_report_serialization_forms():
     assert rep.csv_row().split(",")[0] == "none"
 
 
+def test_report_csv_header_is_the_field_order():
+    assert MetricsReport.csv_header() == (
+        "settling_time,overshoot,chattering_index,control_effort,max_abs_u,"
+        "max_slew,lyap_violation_count,lyap_epsilon_hat,sync_error_final,"
+        "steady_state_error,diverged"
+    )
+
+
 # ------------------------------------------------- frozen run regressions
 
 def test_pendulum_reports_regression(suite_serial):
@@ -345,3 +354,40 @@ def test_compute_report_needs_two_samples():
 
     with pytest.raises(InvalidInputError):
         compute_report(Stub())
+
+
+def test_compute_report_treats_overflow_as_divergence():
+    suite = {sc.name: sc for sc in scenarios.builtin_suite()}
+    raw = suite["fig1_pendulum_observer_free"].to_dict()
+    raw["controller"]["k1"] = 1e200     # finite state and u, V = inf
+    raw["sim"]["t_final"] = 0.01
+    ts = sim.simulate_run(scenarios.validate(raw))
+    assert not ts.diverged and np.isinf(ts.V).all()
+    # an s^2 that overflows while V = s^2 / 2 stays finite, on the same run
+    near = sim.TimeSeries(ts.table.copy())
+    near.s[:] = 1.5e154
+    near.V[:] = 0.5 * 1.5e154 * 1.5e154
+    assert np.isfinite(near.V).all()
+    # a diverging run whose last recorded u, applied after a 10 ms delay,
+    # is -inf
+    raw = suite["fig1_pendulum_super_twisting"].to_dict()
+    raw["controller"]["k1st"] = 1e308
+    raw.update(x0=[5.0, 0.0], delay={"tau": 0.01})
+    raw["sim"]["t_final"] = 0.1
+    blowup = sim.simulate_run(scenarios.validate(raw))
+    assert blowup.diverged and blowup.n_samples == 11 and np.isinf(blowup.u[-1, 0])
+
+    lyapunov = ("lyap_violation_count", "lyap_epsilon_hat")
+    control = ("chattering_index", "control_effort", "max_abs_u", "max_slew")
+    for series, undefined in ((ts, lyapunov), (near, lyapunov), (blowup, control)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = compute_report(series, run_key="k")
+        assert rep.diverged
+        assert [getattr(rep, name) for name in undefined] == [None] * len(undefined)
+        m = comparison_matrix({"observer-free": rep, "classical": _report(run_key="k")},
+                              input_bounds={"observer-free": 5.0})
+        for prop in ("NoChattering", "BoundedInput", "Smoothness"):
+            assert m.verdict(prop, "observer-free") is False, prop
+    assert compute_report(ts).max_abs_u == 5.0
+    assert compute_report(blowup).lyap_violation_count is not None

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smclab import controllers, scenarios, sim
-from smclab.errors import ScenarioValidationError
+from smclab import controllers, plants, scenarios, sim
+from smclab.errors import ConfigError, ScenarioValidationError
 from smclab.scenarios import (
     builtin_suite,
     load_scenario,
@@ -115,6 +115,39 @@ def test_unchecked_node_count_allocates_nothing_per_node():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert any("x0: expected length 2000000" in msg for msg in err.value.errors)
+
+
+def test_tanh_table_size_is_bounded():
+    raw = _fig1_raw()
+    raw["controller"]["tanh_table_size"] = 2 ** 16
+    assert validate(raw).controller_params[0].tanh_table_size == 2 ** 16
+    raw["controller"]["tanh_table_size"] = 2 ** 16 + 1
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == ["controller: tanh table size must be 0 or in [64, 65536]"]
+    with pytest.raises(ConfigError):
+        controllers.tanh_fast(0.5, 2 ** 16 + 1)
+
+
+_PLANT_NODES = [("pendulum", 1), ("vdp", 1), ("duffing", 1), ("network5", 3), ("network5", 7)]
+
+
+@pytest.mark.parametrize("plant,nodes", _PLANT_NODES)
+def test_node_count_agrees_everywhere(plant, nodes):
+    assert {name for name, _ in _PLANT_NODES} == set(plants.PLANT_NAMES)
+    raw = _fig1_raw()
+    raw["plant"] = {"name": plant, **({"n": nodes} if nodes > 1 else {})}
+    raw["x0"] = [0.1]
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    demanded = [msg for msg in err.value.errors if msg.startswith("x0: expected length ")]
+    assert len(demanded) == 1
+    length = int(demanded[0].split()[3])
+    raw["x0"] = [0.1, 0.0] * (length // 2)
+    sc = validate(raw)
+    model = sc.make_plant()
+    assert sc.n_nodes == model.n_nodes == len(model.g) == length // 2 == nodes
+    assert len(sc.controller) == nodes
 
 
 def test_unknown_fields_and_schema_version():
@@ -368,6 +401,22 @@ def test_run_suite_collects_failures(tmp_path):
     # partial CSV still written, carrying the divergence flag
     text = (tmp_path / "blowup.csv").read_text()
     assert text.startswith("# diverged_at=")
+
+
+def test_run_suite_lists_an_overflowed_run_as_failed(tmp_path):
+    short = sim.SimConfig(t_final=0.05)
+    pendulum = [dataclasses.replace(sc, sim=short) for sc in builtin_suite()
+                if sc.matrix_group == "pendulum"]
+    steep = controllers.ObserverFreeParams(k1=1e200)    # V = s^2 / 2 overflows
+    pendulum = [dataclasses.replace(sc, controller_params=(steep,))
+                if sc.controller == ("observer-free",) else sc for sc in pendulum]
+    result = run_suite(pendulum, tmp_path)
+    assert result.failures == {
+        "fig1_pendulum_observer_free": "overflowed: non-finite values in V"
+    }
+    matrix = result.matrices["pendulum"]
+    for prop in ("NoChattering", "BoundedInput", "DelayTolerant", "Smoothness"):
+        assert matrix.verdict(prop, "observer-free") is False, prop
 
 
 def test_delay_reruns_feed_the_matrix(suite_serial):

@@ -570,7 +570,7 @@ def _series(draw):
     values = st.floats(width=64)
     table = draw(arrays(float, (n_samples, 2 + 7 * n_nodes), elements=values))
     at = draw(st.none() | values)
-    return TimeSeries(table, diverged=at is not None, diverged_at=at)
+    return TimeSeries(table, diverged_at=at)
 
 
 @given(ts=_series())
