@@ -264,8 +264,7 @@ def cmd_run(args) -> int:
         written.append(metrics_path)
 
     if not args.no_svg:
-        # `run` draws the state view whatever the scenario's views say
-        written += _write_views(ts, scenario.name, ("state",), out_dir)
+        written += _write_views(ts, scenario.name, scenario.views, out_dir)
 
     for path in written:
         print(f"wrote {path}")

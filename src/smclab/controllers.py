@@ -1,9 +1,8 @@
 """Sliding mode controller variants for second-order plants.
 
-All controllers act on one measured (x, v) pair and emit a
-:class:`ControlOutput` carrying the control value plus diagnostics with a
-shared schema: ``u``, ``alpha``, ``beta``, sliding variable ``s`` and the
-energy ``V = s^2 / 2``.
+Every law maps a measured (x, v) pair and the local input gain g to the
+control value plus diagnostics with a shared schema: ``u``, ``alpha``,
+``beta``, sliding variable ``s`` and the energy ``V = s^2 / 2``.
 
 * ``observer-free``   u = -lambda tanh(alpha), alpha = v + k1 x,
                       beta = u / g, s = alpha - beta
@@ -16,9 +15,15 @@ energy ``V = s^2 / 2``.
 The baselines record ``alpha = s`` and ``beta = 0`` so every run shares one
 output schema.
 
+Each law's arithmetic exists once, in its list form: per-node lists of x,
+v and g in, per-node lists u, alpha, beta, s and V out.  The simulator
+calls it once per step per group of nodes sharing a law and its parameters
+(:func:`node_laws`).  The public one-node functions are thin calls into it
+that check their inputs first: finite x, v and g, ``|g| >= G_MIN``, dt > 0.
+
 Parameter sets are frozen.  The two stateful laws take their run state as an
-argument and return it advanced next to the output; :class:`Controller` is
-the only holder of that state during a run.
+argument and return it advanced next to the output; :class:`Controller`
+holds it for one node, :func:`node_laws` for a run's nodes.
 """
 from __future__ import annotations
 
@@ -43,10 +48,6 @@ class ControlOutput(NamedTuple):
     beta: float
     s: float
     V: float
-
-
-def _out(u: float, alpha: float, beta: float, s: float) -> ControlOutput:
-    return ControlOutput(u=u, alpha=alpha, beta=beta, s=s, V=0.5 * s * s)
 
 
 def _check_pair(x, v) -> tuple[float, float]:
@@ -155,6 +156,55 @@ def tanh_fast(alpha: float, table_size: int = 1024) -> float:
     return -mag if alpha < 0 else mag
 
 
+def _columns(u, alpha, beta, s):
+    return u, alpha, beta, s, [0.5 * si * si for si in s]
+
+
+def _surface(p, xs, vs) -> list:
+    return [v + p.lam_s * x for x, v in zip(xs, vs)]
+
+
+def _observer_free_rows(p, state, xs, vs, gs, dt):
+    alpha = [v + p.k1 * x for x, v in zip(xs, vs)]
+    size = p.tanh_table_size
+    th = [tanh_fast(a, size) for a in alpha] if size else map(math.tanh, alpha)
+    u = [-p.lam * t for t in th]
+    beta = [ui / g for ui, g in zip(u, gs)]
+    return _columns(u, alpha, beta, [a - b for a, b in zip(alpha, beta)]), state
+
+
+def _classical_rows(p, state, xs, vs, gs, dt):
+    s = _surface(p, xs, vs)
+    return _columns([-p.k * _sign(si) for si in s], s, [0.0] * len(s), s), state
+
+
+def _super_twisting_rows(p, vis, xs, vs, gs, dt):
+    s = _surface(p, xs, vs)
+    u = [-p.k1st * math.sqrt(abs(si)) * _sign(si) + vi for si, vi in zip(s, vis)]
+    vis = [vi - p.k2st * _sign(si) * dt for si, vi in zip(s, vis)]
+    return _columns(u, s, [0.0] * len(s), s), vis
+
+
+def _adaptive_rows(p, ks, xs, vs, gs, dt):
+    s = _surface(p, xs, vs)
+    u = [-k * min(1.0, max(-1.0, si / p.phi)) for si, k in zip(s, ks)]
+    ks = [min(p.kmax, k + p.gamma * abs(si) * dt) for si, k in zip(s, ks)]
+    return _columns(u, s, [0.0] * len(s), s), ks
+
+
+def _one(rows, p, state, x, v, g, dt) -> tuple[ControlOutput, object]:
+    """A list form on one node; ``state`` is that node's state or None."""
+    cols, state = rows(p, None if state is None else [state], [x], [v], [g], dt)
+    return ControlOutput(*[c[0] for c in cols]), None if state is None else state[0]
+
+
+def _check_dt(dt) -> float:
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidInputError("dt must be > 0")
+    return dt
+
+
 def observer_free_control(x, v, g_val, p: ObserverFreeParams) -> ControlOutput:
     """Smooth bounded control u = -lambda tanh(alpha), alpha = v + k1 x.
 
@@ -168,23 +218,12 @@ def observer_free_control(x, v, g_val, p: ObserverFreeParams) -> ControlOutput:
         raise InvalidInputError("g_val must be finite")
     if abs(g_val) < G_MIN:
         raise SingularGainError(f"|g| < {G_MIN:g}, cannot normalize control")
-    alpha = v + p.k1 * x
-    if p.tanh_table_size:
-        th = tanh_fast(alpha, p.tanh_table_size)
-    else:
-        th = math.tanh(alpha)
-    u = -p.lam * th
-    beta = u / g_val
-    s = alpha - beta
-    return _out(u, alpha, beta, s)
+    return _one(_observer_free_rows, p, None, x, v, g_val, None)[0]
 
 
 def classical_smc_control(x, v, p: ClassicalParams) -> ControlOutput:
     """Discontinuous control u = -k sign(s) on the surface s = v + lam_s x."""
-    x, v = _check_pair(x, v)
-    s = v + p.lam_s * x
-    u = -p.k * _sign(s)
-    return _out(u, s, 0.0, s)
+    return _one(_classical_rows, p, None, *_check_pair(x, v), None, None)[0]
 
 
 def super_twisting_control(x, v, dt, p: SuperTwistingParams,
@@ -194,13 +233,7 @@ def super_twisting_control(x, v, dt, p: SuperTwistingParams,
     u = -k1st sqrt(|s|) sign(s) + vi, and the returned integrator state is
     vi - k2st sign(s) dt.
     """
-    x, v = _check_pair(x, v)
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
-    s = v + p.lam_s * x
-    u = -p.k1st * math.sqrt(abs(s)) * _sign(s) + vi
-    return _out(u, s, 0.0, s), vi - p.k2st * _sign(s) * dt
+    return _one(_super_twisting_rows, p, vi, *_check_pair(x, v), None, _check_dt(dt))
 
 
 def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
@@ -209,23 +242,14 @@ def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
 
     The returned gain min(kmax, k + gamma |s| dt) is formed after the output.
     """
-    x, v = _check_pair(x, v)
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
-    s = v + p.lam_s * x
-    sat = min(1.0, max(-1.0, s / p.phi))
-    u = -k * sat
-    return _out(u, s, 0.0, s), min(p.kmax, k + p.gamma * abs(s) * dt)
-
-
-_ZERO = ControlOutput(0.0, 0.0, 0.0, 0.0, 0.0)
+    return _one(_adaptive_rows, p, k, *_check_pair(x, v), None, _check_dt(dt))
 
 
 class _Law(NamedTuple):
     params: type
-    # (params, state, x, v, g, dt) -> (ControlOutput, state)
-    step: Callable
+    # list form: (params, states, xs, vs, gs, dt) -> ((u, alpha, beta, s, V),
+    # states) over per-node lists; states is None for laws that keep none
+    rows: Callable
     # params -> a priori bound on |u|, None when the law carries no such bound
     input_bound: Callable
     # params -> state at t = 0; None for laws that keep no state
@@ -233,29 +257,13 @@ class _Law(NamedTuple):
 
 
 _LAWS = {
-    "observer-free": _Law(
-        ObserverFreeParams,
-        lambda p, st, x, v, g, dt: (observer_free_control(x, v, g, p), st),
-        lambda p: p.lam,
-    ),
-    "classical": _Law(
-        ClassicalParams,
-        lambda p, st, x, v, g, dt: (classical_smc_control(x, v, p), st),
-        lambda p: p.k,
-    ),
-    "super-twisting": _Law(
-        SuperTwistingParams,
-        lambda p, vi, x, v, g, dt: super_twisting_control(x, v, dt, p, vi),
-        lambda p: None,
-        lambda p: 0.0,
-    ),
-    "adaptive": _Law(
-        AdaptiveParams,
-        lambda p, k, x, v, g, dt: adaptive_smc_control(x, v, dt, p, k),
-        lambda p: p.kmax,
-        lambda p: p.k0,
-    ),
-    "none": _Law(type(None), lambda p, st, x, v, g, dt: (_ZERO, st), lambda p: 0.0),
+    "observer-free": _Law(ObserverFreeParams, _observer_free_rows, lambda p: p.lam),
+    "classical": _Law(ClassicalParams, _classical_rows, lambda p: p.k),
+    "super-twisting": _Law(SuperTwistingParams, _super_twisting_rows,
+                           lambda p: None, lambda p: 0.0),
+    "adaptive": _Law(AdaptiveParams, _adaptive_rows, lambda p: p.kmax, lambda p: p.k0),
+    "none": _Law(type(None), lambda p, st, xs, *_: (([0.0] * len(xs),) * 5, st),
+                 lambda p: 0.0),
 }
 CONTROLLER_NAMES = tuple(_LAWS)
 
@@ -281,25 +289,67 @@ def declared_input_bound(name: str, params) -> float | None:
     return None if law is None else law.input_bound(params)
 
 
+def _bind(name: str, params):
+    """(list form, params, state at t = 0) for a checked name and params."""
+    cls = param_type(name)
+    if params is None:
+        params = cls()
+    if not isinstance(params, cls):
+        raise ConfigError(f"controller '{name}' expects {cls.__name__} parameters")
+    law = _LAWS[name]
+    return law.rows, params, None if law.initial_state is None else law.initial_state(params)
+
+
 class Controller:
     """One control law bound to one plant node, holding its run state.
 
     Parameters are frozen and may be shared between nodes and runs; each
-    controller starts from the law's initial state.
+    controller starts from the law's initial state.  ``step`` runs the
+    law's list form on one node and checks nothing; the public one-node
+    functions check their inputs.
     """
 
     def __init__(self, name: str, params=None):
-        cls = param_type(name)
-        if params is None:
-            params = cls()
-        if not isinstance(params, cls):
-            raise ConfigError(f"controller '{name}' expects {cls.__name__} parameters")
-        law = _LAWS[name]
+        self._rows, self.params, self.state = _bind(name, params)
         self.name = name
-        self.params = params
-        self.state = None if law.initial_state is None else law.initial_state(params)
-        self._law = law.step
 
     def step(self, x, v, g_val, dt) -> ControlOutput:
-        out, self.state = self._law(self.params, self.state, x, v, g_val, dt)
+        out, self.state = _one(self._rows, self.params, self.state, x, v, g_val, dt)
         return out
+
+
+def node_laws(names, params) -> Callable:
+    """One control step over a run's nodes, ``(xs, vs, gs, dt) -> (u, alpha,
+    beta, s, V)``, per-node lists in and out; node i runs law ``names[i]``
+    with ``params[i]``.
+
+    Nodes are grouped by (law, params) once, and each step calls every
+    group's list form once with the group's run state.  One group spanning
+    every node gets the lists as they are.  Nothing is checked per step:
+    the simulator checks the state after every step, and a plant rejects
+    ``|g| < G_MIN`` when it is built.
+    """
+    groups = {}
+    for i, (name, p) in enumerate(zip(names, params)):
+        # repr tells -0.0 from 0.0, which == does not
+        groups.setdefault((name, repr(p)), [*_bind(name, p), []])[3].append(i)
+    parts = [[rows, p, None if st is None else [st] * len(nodes), nodes]
+             for rows, p, st, nodes in groups.values()]
+    n = len(names)
+
+    def step(xs, vs, gs, dt):
+        if len(parts) == 1:
+            part = parts[0]
+            cols, part[2] = part[0](part[1], part[2], xs, vs, gs, dt)
+            return cols
+        cols = [[0.0] * n for _ in range(5)]
+        for part in parts:
+            rows, p, state, nodes = part
+            picked = ([seq[i] for i in nodes] for seq in (xs, vs, gs))
+            got, part[2] = rows(p, state, *picked, dt)
+            for col, values in zip(cols, got):
+                for i, value in zip(nodes, values):
+                    col[i] = value
+        return cols
+
+    return step

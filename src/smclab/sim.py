@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import controllers
 from .errors import ConfigError, DivergenceError, InvalidInputError
 
 DIVERGENCE_LIMIT = 1e6
@@ -342,9 +343,11 @@ def simulate_run(scenario) -> TimeSeries:
     """Run one validated scenario to completion or divergence.
 
     Per step: measure (noise, then optional derivative estimate), evaluate
-    each node controller on its own (x, v) pair, push the control vector
-    through the input delay, sample the disturbance, record, then integrate
-    one RK4 step with control and disturbance held.
+    the control laws over the node lists (one list-form call per group of
+    nodes sharing a law and its parameters, see controllers.node_laws),
+    push the control vector through the input delay, sample the
+    disturbance, record, then integrate one RK4 step with control and
+    disturbance held.
 
     The step works on Python floats: node vectors are lists, because numpy
     call overhead on 2- to 32-element arrays costs more than the arithmetic.
@@ -354,8 +357,9 @@ def simulate_run(scenario) -> TimeSeries:
     of NOISE_BLOCK per stream and converted to floats once per block,
     Duffing's x ** 3 runs on numpy's array power loop, and rk4_step hands
     back an ndarray.  The record is one preallocated table in CSV column
-    order (see TimeSeries), one row per recorded step.  The input gain is
-    constant and read once per run.
+    order (see TimeSeries); each recorded row is filled field by field
+    through strided slices.  The input gain is constant and read once per
+    run.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
@@ -369,9 +373,9 @@ def simulate_run(scenario) -> TimeSeries:
     n_steps = cfg.n_steps
     stride = cfg.record_stride
 
-    ctrls = scenario.make_controllers()
-    if len(ctrls) != n:
-        raise ConfigError(f"expected {n} controllers, got {len(ctrls)}")
+    if len(scenario.controller) != n:
+        raise ConfigError(f"expected {n} controllers, got {len(scenario.controller)}")
+    control = controllers.node_laws(scenario.controller, scenario.controller_params)
     streams = NoiseStreams(cfg.seed, n)
     delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)
     estimator = None
@@ -384,7 +388,9 @@ def simulate_run(scenario) -> TimeSeries:
     state = x0.tolist()
     g = plant.gain(x0).tolist()
 
-    table = np.empty((n_steps // stride + 1, 2 + len(_PER_NODE) * n))
+    w = len(_PER_NODE)
+    table = np.empty((n_steps // stride + 1, 2 + w * n))
+    row = [0.0] * table.shape[1]
     diverged_at = None
     rec_i = 0
 
@@ -393,16 +399,14 @@ def simulate_run(scenario) -> TimeSeries:
         measured = apply_noise(state, scenario.noise, streams)
         xm = measured[0::2]
         vm = measured[1::2] if estimator is None else estimator.update(xm)
-        outs = [c.step(x, v, gi, dt) for c, x, v, gi in zip(ctrls, xm, vm, g)]
-        u_applied = delay.push([o[0] for o in outs])
+        u, alpha, beta, s, V = control(xm, vm, g, dt)
+        u_applied = delay.push(u)
         d = eval_disturbance(scenario.disturbance, t)
 
         if k % stride == 0:
-            row = [t]
-            nodes = zip(state[0::2], state[1::2], u_applied, outs)
-            for x, v, u, (_, alpha, beta, s, V) in nodes:
-                row += x, v, u, alpha, beta, s, V
-            row.append(d)
+            row[0], row[-1] = t, d
+            row[1:-1:w], row[2:-1:w], row[3:-1:w] = state[0::2], state[1::2], u_applied
+            row[4:-1:w], row[5:-1:w], row[6:-1:w], row[7:-1:w] = alpha, beta, s, V
             table[rec_i] = row
             rec_i += 1
 

@@ -46,6 +46,28 @@ def test_run_no_svg_writes_two_files(tmp_path):
     assert names == [f"{FIG1}.csv", f"{FIG1}.metrics.txt"]
 
 
+def test_run_writes_the_scenarios_views(tmp_path, capsys):
+    fig5 = "fig5_vdp_nominal"    # declares ["state", "control"]
+    assert main(["run", fig5, "--out-dir", str(tmp_path / "fig5")]) == 0
+    names = sorted(p.name for p in (tmp_path / "fig5").iterdir())
+    assert names == [f"{fig5}.csv", f"{fig5}.metrics.txt", f"{fig5}.svg", f"{fig5}.u.svg"]
+    out = capsys.readouterr().out
+    for name in names:
+        assert f"wrote {tmp_path / 'fig5' / name}" in out
+    assert ">control</text>" in (tmp_path / "fig5" / f"{fig5}.u.svg").read_text()
+
+    raw = scenarios.builtin_suite()[0].to_dict()
+    raw.update(name="u_only", views=["control"])
+    sc_path = tmp_path / "u_only.json"
+    sc_path.write_text(json.dumps(raw))
+    assert main(["run", str(sc_path), "--out-dir", str(tmp_path / "u")]) == 0
+    names = sorted(p.name for p in (tmp_path / "u").iterdir())
+    assert names == ["u_only.csv", "u_only.metrics.txt", "u_only.u.svg"]
+    assert main(["run", str(sc_path), "--out-dir", str(tmp_path / "none"), "--no-svg"]) == 0
+    assert sorted(p.name for p in (tmp_path / "none").iterdir()) == \
+        ["u_only.csv", "u_only.metrics.txt"]
+
+
 def test_run_rejects_zero_dt(tmp_path, capsys):
     code = main(["run", FIG1, "--out-dir", str(tmp_path), "--dt", "0"])
     assert code == 2

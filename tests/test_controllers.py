@@ -340,3 +340,32 @@ def test_property_controller_equals_threaded_state(pairs, g, dt):
             out, state = law(x, v, dt, p, state)
             assert ctrl.step(x, v, g, dt) == out
         assert ctrl.state == state
+
+
+measured_nodes = st.lists(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), gains), min_size=1, max_size=20
+)
+
+
+@given(nodes=measured_nodes, dt=st.floats(1e-6, 0.1), table=st.sampled_from([0, 64, 1024]),
+       mixed=st.lists(st.sampled_from(controllers.CONTROLLER_NAMES), min_size=20, max_size=20))
+def test_property_list_form_equals_one_node_calls(nodes, dt, table, mixed):
+    # one law on every node passes the lists straight to its list form;
+    # the mixed draw scatters several groups back into node order
+    params = {
+        "observer-free": ObserverFreeParams(k1=1.5, lam=3.0, tanh_table_size=table),
+        "classical": ClassicalParams(lam_s=0.7, k=2.0),
+        "super-twisting": SuperTwistingParams(),
+        "adaptive": AdaptiveParams(k0=2.0, gamma=50.0),
+        "none": None,
+    }
+    n = len(nodes)
+    for names in [[name] * n for name in controllers.CONTROLLER_NAMES] + [mixed[:n]]:
+        step = controllers.node_laws(names, [params[name] for name in names])
+        ctrls = [Controller(name, params[name]) for name in names]
+        for j in range(3):    # the inputs turn, and each output depends on the state
+            turn = nodes[j % n:] + nodes[:j % n]
+            xs, vs, gs = map(list, zip(*turn))
+            got = list(zip(*step(xs, vs, gs, dt)))
+            want = [tuple(c.step(x, v, g, dt)) for c, (x, v, g) in zip(ctrls, turn)]
+            assert repr(got) == repr(want)

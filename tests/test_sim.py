@@ -422,10 +422,27 @@ def _network_raw(topology, **over):
     return raw
 
 
+_OF1 = {"name": "observer-free", "k1": 1.0}
+_RING6 = {"plant": {"name": "network5", "n": 6, "topology": "ring"},
+          "x0": [0.2, 0.0, -0.25, 0.1, 0.05, 0.0, -0.1, -0.3, 0.28, 0.0, 0.15, -0.05]}
+
+
 @pytest.mark.parametrize(
     "raw",
     [
         _network_raw("ring"),
+        # non-adjacent groups, one law under two parameter sets
+        _network_raw("ring", **_RING6, controller=[
+            _OF1, {"name": "classical"},
+            {"name": "observer-free", "k1": 2.0, "tanh_table_size": 1024},
+            {"name": "classical"}, _OF1, {"name": "adaptive"},
+        ]),
+        # stateful groups; 0.0 and -0.0 compare equal but start different gains
+        _network_raw("ring", **_RING6, controller=[
+            {"name": "super-twisting", "k2st": 4.0}, {"name": "adaptive", "k0": 0.0},
+            {"name": "super-twisting"}, {"name": "adaptive", "k0": -0.0},
+            {"name": "super-twisting", "k2st": 4.0}, {"name": "adaptive", "k0": 0.0},
+        ], sim={"dt": 1e-3, "t_final": 0.2, "seed": 5}),
         _network_raw("chain"),
         _network_raw(
             "ring",
@@ -442,7 +459,8 @@ def _network_raw(topology, **over):
             sim={"dt": 1e-3, "t_final": 0.4, "seed": 3, "record_stride": 3},
         ),
     ],
-    ids=["ring", "chain", "ring-v-noise-no-delay", "pendulum"],
+    ids=["ring", "ring6-groups", "ring6-stateful-groups", "chain",
+         "ring-v-noise-no-delay", "pendulum"],
 )
 def test_vectorized_run_matches_per_node_reference(raw):
     scenario = scenarios.validate(raw)
