@@ -147,13 +147,18 @@ def tanh_fast(alpha: float, table_size: int = 1024) -> float:
     """
     if not TANH_TABLE_MIN <= table_size <= TANH_TABLE_MAX:
         raise ConfigError(f"tanh table size must lie in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]")
-    grid, table = _tanh_table(table_size)
-    a = abs(alpha)
-    if a >= TANH_TABLE_SPAN:
-        mag = float(table[-1])
-    else:
-        mag = float(np.interp(a, grid, table))
-    return -mag if alpha < 0 else mag
+    return _tanh_lookup([alpha], table_size)[0]
+
+
+def _tanh_lookup(alpha: list, size: int) -> list:
+    """:func:`tanh_fast` over a list of floats, with one ``np.interp`` call.
+
+    ``np.interp`` returns the table's last value at or above the span, which
+    is the clamp; negative arguments are mirrored.
+    """
+    grid, table = _tanh_table(size)
+    mags = np.interp(np.abs(alpha), grid, table).tolist()
+    return [-m if a < 0 else m for a, m in zip(alpha, mags)]
 
 
 def _columns(u, alpha, beta, s):
@@ -167,7 +172,7 @@ def _surface(p, xs, vs) -> list:
 def _observer_free_rows(p, state, xs, vs, gs, dt):
     alpha = [v + p.k1 * x for x, v in zip(xs, vs)]
     size = p.tanh_table_size
-    th = [tanh_fast(a, size) for a in alpha] if size else map(math.tanh, alpha)
+    th = _tanh_lookup(alpha, size) if size else map(math.tanh, alpha)
     u = [-p.lam * t for t in th]
     beta = [ui / g for ui, g in zip(u, gs)]
     return _columns(u, alpha, beta, [a - b for a, b in zip(alpha, beta)]), state

@@ -7,10 +7,12 @@ Four plants are shipped, selectable by name in scenario files:
 * ``duffing``    Duffing oscillator,     xdd = lin x + cub x^3 - delta v + b u
 * ``network5``   ring of diffusively coupled pendulums, one input per node
 
-State vectors are flat and interleaved, ``[x_1, v_1, ..., x_N, v_N]``.
-The drift is a pure function of the state, evaluated on Python floats.  The
-input gain is a constant per-node vector (``b`` for every shipped plant),
-checked for ``|g| >= 1e-9`` once, when a :class:`PlantModel` is built.
+State vectors are flat and interleaved, ``[x_1, v_1, ..., x_N, v_N]``, and
+each plant function maps that list to the interleaved derivative list on
+Python floats: the one-node plants unpack ``x, v = state``, the network
+splits and re-interleaves its node lists.  The input gain is a constant
+per-node vector (``b`` for every shipped plant), checked for
+``|g| >= 1e-9`` once, when a :class:`PlantModel` is built.
 """
 from __future__ import annotations
 
@@ -93,10 +95,11 @@ class NetworkParams:
             raise ConfigError(f"network topology must be one of {TOPOLOGIES}")
 
 
-# Each plant maps per-node lists of floats (positions xs, velocities vs,
-# gains gs, held controls us) and the disturbance d to the list of closed-loop
-# accelerations.  Every expression keeps the operation order of the array
-# form drift + g u + d, so the floats round exactly as the arrays did.
+# Each plant maps the interleaved state list, the per-node gains gs and held
+# controls us (lists of floats) and the disturbance d to the interleaved
+# derivative list [v_1, a_1, ..., v_N, a_N].  Every acceleration keeps the
+# operation order of the array form drift + g u + d, so the floats round
+# exactly as the arrays did.
 
 
 def _finite_sin(x: float) -> float:
@@ -104,55 +107,62 @@ def _finite_sin(x: float) -> float:
     return sin(x) if isfinite(x) else nan
 
 
-def _pendulum_acc(xs, vs, gs, us, d, p: PendulumParams, sin=sin) -> list:
-    a, c = p.a, p.c
+def _pendulum(state, gs, us, d, p: PendulumParams) -> list:
+    x, v = state
     try:
-        return [a * sin(x) - c * v + g * u + d for x, v, g, u in zip(xs, vs, gs, us)]
+        s = sin(x)
     except ValueError:
         # math.sin raises on an infinite stage state; np.sin gave nan there,
         # which ends the step as a divergence
-        return _pendulum_acc(xs, vs, gs, us, d, p, _finite_sin)
+        s = nan
+    return [v, p.a * s - p.c * v + gs[0] * us[0] + d]
 
 
-def _vdp_acc(xs, vs, gs, us, d, p: VanDerPolParams) -> list:
-    mu = p.mu
-    return [mu * (1.0 - x * x) * v - x + g * u + d for x, v, g, u in zip(xs, vs, gs, us)]
+def _vdp(state, gs, us, d, p: VanDerPolParams) -> list:
+    x, v = state
+    return [v, p.mu * (1.0 - x * x) * v - x + gs[0] * us[0] + d]
 
 
-def _duffing_acc(xs, vs, gs, us, d, p: DuffingParams) -> list:
+def _duffing(state, gs, us, d, p: DuffingParams) -> list:
+    x, v = state
     # numpy's array power loop rounds x ** 3 differently from Python's float
     # power and from x * x * x, so the cube stays on it
-    cubes = np.power(xs, 3).tolist()
-    lin, cub, delta = p.lin, p.cub, p.delta
-    return [lin * x + cub * x3 - delta * v + g * u + d
-            for x, x3, v, g, u in zip(xs, cubes, vs, gs, us)]
+    (x3,) = np.power([x], 3).tolist()
+    return [v, p.lin * x + p.cub * x3 - p.delta * v + gs[0] * us[0] + d]
 
 
-def _network_acc(xs, vs, gs, us, d, p: NetworkParams, sin=sin) -> list:
+def _network(state, gs, us, d, p: NetworkParams, sin=sin) -> list:
     """Pendulum nodes plus diffusive coupling kappa * sum_j (x_j - x_i)."""
     a, c, k = p.node.a, p.node.c, p.kappa
+    xs, vs = state[0::2], state[1::2]
     try:
         if p.topology == "ring":
             left, right = xs[-1:] + xs[:-1], xs[1:] + xs[:1]
-            return [a * sin(x) - c * v + k * ((xl - x) + (xr - x)) + g * u + d
-                    for xl, x, xr, v, g, u in zip(left, xs, right, vs, gs, us)]
-        # a chain end has one neighbor; each coupling sum starts from +0.0
-        left = [0.0] + [k * (xl - x) for xl, x in zip(xs, xs[1:])]
-        right = [k * (xr - x) for x, xr in zip(xs, xs[1:])] + [0.0]
-        return [a * sin(x) - c * v + ((0.0 + cl) + cr) + g * u + d
-                for x, v, cl, cr, g, u in zip(xs, vs, left, right, gs, us)]
+            acc = [a * sin(x) - c * v + k * ((xl - x) + (xr - x)) + g * u + d
+                   for xl, x, xr, v, g, u in zip(left, xs, right, vs, gs, us)]
+        else:
+            # a chain end has one neighbor; each coupling sum starts from +0.0
+            left = [0.0] + [k * (xl - x) for xl, x in zip(xs, xs[1:])]
+            right = [k * (xr - x) for x, xr in zip(xs, xs[1:])] + [0.0]
+            acc = [a * sin(x) - c * v + ((0.0 + cl) + cr) + g * u + d
+                   for x, v, cl, cr, g, u in zip(xs, vs, left, right, gs, us)]
     except ValueError:
-        # as in _pendulum_acc
-        return _network_acc(xs, vs, gs, us, d, p, _finite_sin)
+        # as in _pendulum
+        return _network(state, gs, us, d, p, _finite_sin)
+    out = state[:]
+    out[0::2], out[1::2] = vs, acc
+    return out
 
 
 @dataclass(frozen=True)
 class PlantModel:
     """Uniform plant interface used by the simulator.
 
-    ``f(xs, vs, gs, us, d, params)`` maps per-node lists of positions,
-    velocities, input gains and held controls, and the disturbance, to the
-    list of closed-loop accelerations ``drift + g u + d`` (length N).
+    ``f(state, gs, us, d, params)`` maps the interleaved state list
+    ``[x_1, v_1, ..., x_N, v_N]``, the per-node input gains and held
+    controls (lists of length N) and the disturbance to the interleaved
+    closed-loop derivative list ``[v_1, a_1, ..., v_N, a_N]`` with
+    ``a = drift + g u + d``.  The one-node plants unpack two floats.
     ``g`` is the constant per-node input gain (length N), read-only after
     construction.
     """
@@ -183,24 +193,19 @@ class PlantModel:
         and gets a list back.  Any other input (an array, a scalar u) gives
         an ndarray with the same values.
         """
-        as_array = type(state) is not list or type(u) is not list
-        if as_array:
-            state = np.asarray(state, dtype=float).tolist()
-            u = np.broadcast_to(np.asarray(u, dtype=float), (self.n_nodes,)).tolist()
-            d = float(d)
-        xs, vs = state[0::2], state[1::2]
-        out = state[:]
-        out[0::2] = vs
-        out[1::2] = self.f(xs, vs, self._g, u, d, self.params)
-        return np.array(out) if as_array else out
+        if type(state) is list and type(u) is list:
+            return self.f(state, self._g, u, d, self.params)
+        state = np.asarray(state, dtype=float).tolist()
+        u = np.broadcast_to(np.asarray(u, dtype=float), (self.n_nodes,)).tolist()
+        return np.array(self.f(state, self._g, u, float(d), self.params))
 
 
-# name -> (params type, acceleration function, params -> (nodes, input gain))
+# name -> (params type, derivative function, params -> (nodes, input gain))
 _PLANTS = {
-    "pendulum": (PendulumParams, _pendulum_acc, lambda p: (1, p.b)),
-    "vdp": (VanDerPolParams, _vdp_acc, lambda p: (1, p.b)),
-    "duffing": (DuffingParams, _duffing_acc, lambda p: (1, p.b)),
-    "network5": (NetworkParams, _network_acc, lambda p: (p.n, p.node.b)),
+    "pendulum": (PendulumParams, _pendulum, lambda p: (1, p.b)),
+    "vdp": (VanDerPolParams, _vdp, lambda p: (1, p.b)),
+    "duffing": (DuffingParams, _duffing, lambda p: (1, p.b)),
+    "network5": (NetworkParams, _network, lambda p: (p.n, p.node.b)),
 }
 PLANT_NAMES = tuple(_PLANTS)
 

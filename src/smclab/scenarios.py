@@ -73,12 +73,6 @@ class Scenario:
     def make_plant(self) -> plants.PlantModel:
         return plants.make_plant(self.plant, self.plant_params)
 
-    def make_controllers(self) -> list[controllers.Controller]:
-        return [
-            controllers.Controller(name, params)
-            for name, params in zip(self.controller, self.controller_params)
-        ]
-
     def to_dict(self) -> dict:
         ctrl_entries = [
             _params_to_dict(name, params)

@@ -347,10 +347,15 @@ def simulate_run(scenario) -> TimeSeries:
     nodes sharing a law and its parameters, see controllers.node_laws),
     push the control vector through the input delay, sample the
     disturbance, record, then integrate one RK4 step with control and
-    disturbance held.
+    disturbance held.  Stages that would pass their input through unchanged
+    are skipped, as decided once per run: with ``std_x == std_v == 0`` the
+    measured state is the state (and no noise stream is built), with a
+    zero-step delay the applied control is the control, and with
+    disturbance kind "none" d is 0.0.
 
-    The step works on Python floats: node vectors are lists, because numpy
-    call overhead on 2- to 32-element arrays costs more than the arithmetic.
+    The step works on Python floats: node vectors are lists, and a one-node
+    plant's derivative unpacks two floats, because numpy call overhead on
+    2- to 32-element arrays costs more than the arithmetic.
     Every operation is elementwise IEEE arithmetic in the order the array
     expressions used, so the bits are those of the array form.  numpy stays
     where it pays or where it rounds differently: noise is drawn in blocks
@@ -376,8 +381,12 @@ def simulate_run(scenario) -> TimeSeries:
     if len(scenario.controller) != n:
         raise ConfigError(f"expected {n} controllers, got {len(scenario.controller)}")
     control = controllers.node_laws(scenario.controller, scenario.controller_params)
-    streams = NoiseStreams(cfg.seed, n)
+    noise = scenario.noise
+    noisy = noise.std_x > 0.0 or noise.std_v > 0.0
+    streams = NoiseStreams(cfg.seed, n) if noisy else None
     delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)
+    disturbance = scenario.disturbance
+    disturbed = disturbance.kind != "none"
     estimator = None
     if scenario.estimate_velocity:
         estimator = LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
@@ -394,14 +403,18 @@ def simulate_run(scenario) -> TimeSeries:
     diverged_at = None
     rec_i = 0
 
+    def deriv(y, tau):
+        # reads the held u_applied and d of the step being integrated
+        return plant.derivative(y, tau, u_applied, d)
+
     for k in range(n_steps + 1):
         t = k * dt
-        measured = apply_noise(state, scenario.noise, streams)
+        measured = apply_noise(state, noise, streams) if noisy else state
         xm = measured[0::2]
         vm = measured[1::2] if estimator is None else estimator.update(xm)
         u, alpha, beta, s, V = control(xm, vm, g, dt)
-        u_applied = delay.push(u)
-        d = eval_disturbance(scenario.disturbance, t)
+        u_applied = delay.push(u) if delay.n else u
+        d = eval_disturbance(disturbance, t) if disturbed else 0.0
 
         if k % stride == 0:
             row[0], row[-1] = t, d
@@ -412,9 +425,6 @@ def simulate_run(scenario) -> TimeSeries:
 
         if k == n_steps:
             break
-
-        def deriv(y, tau, _u=u_applied, _d=d):
-            return plant.derivative(y, tau, _u, _d)
 
         try:
             state = rk4_step(deriv, state, t, dt).tolist()

@@ -139,6 +139,29 @@ def test_tanh_fast_rejects_small_table():
     ObserverFreeParams(tanh_table_size=0)
 
 
+@given(alphas=st.lists(st.floats() | st.sampled_from([6.0, -6.0, 0.0, -0.0]),
+                       min_size=1, max_size=20),
+       size=st.sampled_from([64, 1024, 2 ** 16]))
+def test_property_tanh_table_matches_scalar_lookup(alphas, size):
+    # one np.interp over the node list gives each node the scalar lookup:
+    # mirrored, and the table's last entry at or above 6
+    grid = np.linspace(0.0, 6.0, size)
+    table = np.tanh(grid)
+
+    def scalar(a):
+        mag = float(table[-1]) if abs(a) >= 6.0 else float(np.interp(abs(a), grid, table))
+        return -mag if a < 0 else mag
+
+    want = [scalar(a) for a in alphas]
+    assert repr([tanh_fast(a, size) for a in alphas]) == repr(want)
+    # alpha = v + k1 x = -0.0 + a is a itself, and u = -1.0 * tanh(alpha)
+    n, p = len(alphas), ObserverFreeParams(k1=1.0, lam=1.0, tanh_table_size=size)
+    step = controllers.node_laws(["observer-free"] * n, [p] * n)
+    u, alpha, *_ = step(alphas, [-0.0] * n, [1.0] * n, 1e-3)
+    assert repr(alpha) == repr(alphas)
+    assert repr(u) == repr([-1.0 * w for w in want])
+
+
 def test_param_validation():
     with pytest.raises(ConfigError):
         ObserverFreeParams(k1=0.0)

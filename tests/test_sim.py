@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from smclab import scenarios, sim
+from smclab import controllers, scenarios, sim
 from smclab.errors import (
     ConfigError,
     DivergenceError,
@@ -343,7 +343,8 @@ def _reference_run(scenario) -> TimeSeries:
     n = plant.n_nodes
     cfg = scenario.sim
     dt, n_steps, stride = cfg.dt, cfg.n_steps, cfg.record_stride
-    ctrls = scenario.make_controllers()
+    ctrls = [controllers.Controller(name, p)
+             for name, p in zip(scenario.controller, scenario.controller_params)]
     noise_x = [np.random.default_rng([cfg.seed, i, 0]) for i in range(n)]
     noise_v = [np.random.default_rng([cfg.seed, i, 1]) for i in range(n)]
     depth = math.ceil(round(scenario.delay.tau / dt, 9))
@@ -458,9 +459,26 @@ _RING6 = {"plant": {"name": "network5", "n": 6, "topology": "ring"},
             estimate_velocity=True,
             sim={"dt": 1e-3, "t_final": 0.4, "seed": 3, "record_stride": 3},
         ),
+        # one node with noise, delay and disturbance off: the simulator skips
+        # all three stages, the reference still runs each of them
+        _pendulum_raw(sim={"dt": 1e-3, "t_final": 0.4}),
+        _pendulum_raw(plant={"name": "vdp", "mu": 1.5}, x0=[1.2, -0.4],
+                      controller={"name": "super-twisting"},
+                      sim={"dt": 1e-3, "t_final": 0.4}),
+        _pendulum_raw(plant={"name": "duffing", "lin": 0.5, "cub": 0.8, "delta": 0.1},
+                      x0=[1.5, 0.3], controller={"name": "adaptive"},
+                      sim={"dt": 1e-3, "t_final": 0.4}),
+        # position noise only: the velocity channel passes through
+        _pendulum_raw(noise={"std_x": 0.02, "std_v": 0.0},
+                      sim={"dt": 1e-3, "t_final": 0.4, "seed": 9}),
+        _pendulum_raw(plant={"name": "vdp"}, x0=[-0.8, 0.5], controller={"name": "classical"},
+                      disturbance={"kind": "sinusoid", "amplitude": 0.3,
+                                   "angular_frequency": 4.0},
+                      sim={"dt": 1e-3, "t_final": 0.4}),
     ],
     ids=["ring", "ring6-groups", "ring6-stateful-groups", "chain",
-         "ring-v-noise-no-delay", "pendulum"],
+         "ring-v-noise-no-delay", "pendulum", "pendulum-bare", "vdp-bare",
+         "duffing-bare", "pendulum-x-noise", "vdp-sinusoid"],
 )
 def test_vectorized_run_matches_per_node_reference(raw):
     scenario = scenarios.validate(raw)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from smclab import scenarios, sim
+from smclab import controllers, scenarios, sim
 
 
 def _drift(plant: dict, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -53,7 +53,8 @@ def _oracle_run(raw: dict) -> dict:
     scenario = scenarios.validate(raw)
     n, g, deriv = _oracle_derivative(raw["plant"])
     dt, n_steps = scenario.sim.dt, scenario.sim.n_steps
-    ctrls = scenario.make_controllers()
+    ctrls = [controllers.Controller(name, p)
+             for name, p in zip(scenario.controller, scenario.controller_params)]
     depth = math.ceil(round(scenario.delay.tau / dt, 9))
     fifo, head = [0.0] * depth, 0
     dist = raw.get("disturbance", {})
@@ -164,3 +165,16 @@ def test_derivative_matches_array_oracle_bytes(name):
             want = deriv(y, u, d).tobytes()
             assert np.array(model.derivative(y.tolist(), 0.0, u.tolist(), d)).tobytes() == want
             assert model.derivative(y, 0.0, u, d).tobytes() == want
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_pendulum_derivative_at_infinite_position_is_nan(x):
+    # math.sin raises on +-inf; the plant gives np.sin's nan instead, which
+    # rk4_step then rejects as a divergence
+    with pytest.raises(ValueError):
+        math.sin(x)
+    model = scenarios.validate(_raw({"name": "pendulum"}, [0.0, 0.0], _OF)).make_plant()
+    listed = model.derivative([x, 0.5], 0.0, [0.0], 0.0)
+    arrayed = model.derivative(np.array([x, 0.5]), 0.0, np.zeros(1), 0.0)
+    assert type(listed) is list and listed[0] == 0.5 and math.isnan(listed[1])
+    assert type(arrayed) is np.ndarray and arrayed[0] == 0.5 and math.isnan(arrayed[1])
