@@ -252,7 +252,7 @@ def cmd_run(args) -> int:
 
     out_dir = _out_dir(args.out_dir)
     _make_dir(out_dir)
-    ts, report = scenarios.run(scenario)
+    ts, report, why = scenarios.run(scenario)
 
     csv_path = out_dir / f"{scenario.name}.csv"
     ts.write_csv(csv_path)
@@ -268,7 +268,6 @@ def cmd_run(args) -> int:
 
     for path in written:
         print(f"wrote {path}")
-    why = scenarios.failure(ts, report)
     if why is None:
         return EXIT_OK
     partial = ", partial output written" if ts.diverged else ""

@@ -262,15 +262,19 @@ def validate(raw) -> Scenario:
 
     sim_cfg = _build(sim.SimConfig, raw.get("sim", {}), "sim", errors)
     if sim_cfg is not None and n_nodes is not None:
-        recorded = (sim_cfg.n_steps // sim_cfg.record_stride + 1) * n_nodes
+        recorded = (sim_cfg.n_steps + 1) * n_nodes
         if recorded > sim.MAX_RECORDED_SAMPLES:
             errors.append(
-                f"sim: {recorded} recorded samples (steps / sim.record_stride + 1, "
-                f"times {n_nodes} nodes) exceed {sim.MAX_RECORDED_SAMPLES:g}; "
-                "raise sim.record_stride or shorten sim.t_final"
+                f"sim: {recorded} recorded samples (steps + 1, times {n_nodes} "
+                f"nodes) exceed {sim.MAX_RECORDED_SAMPLES:g}; shorten sim.t_final"
             )
     noise_cfg = _build(sim.NoiseConfig, raw.get("noise", {}), "noise", errors)
     dist = _build(sim.DisturbanceSpec, raw.get("disturbance", {}), "disturbance", errors)
+    # the phase at the last sample time, as eval_disturbance computes it
+    if dist is not None and sim_cfg is not None and not math.isfinite(
+            dist.angular_frequency * (sim_cfg.n_steps * sim_cfg.dt)):
+        errors.append("disturbance.angular_frequency: the phase at sim.t_final "
+                      "overflows a float")
     delay = _build(sim.DelaySpec, raw.get("delay", {}), "delay", errors)
 
     est = raw.get("estimate_velocity", False)
@@ -285,6 +289,11 @@ def validate(raw) -> Scenario:
         cutoff = _float(cutoff, "velocity_filter_cutoff_hz", errors)
         if cutoff is not None and not (math.isfinite(cutoff) and cutoff > 0):
             errors.append("velocity_filter_cutoff_hz: expected a number > 0")
+        # the filter's 2 pi f dt, as LowPassDifferentiator computes it
+        elif cutoff is not None and sim_cfg is not None and not math.isfinite(
+                2.0 * math.pi * cutoff * sim_cfg.dt):
+            errors.append("velocity_filter_cutoff_hz: 2 pi cutoff sim.dt "
+                          "overflows a float")
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
@@ -419,12 +428,16 @@ def _delayed_variant(sc: Scenario) -> Scenario:
 
 
 def run(sc: Scenario):
-    """Simulate one scenario: (TimeSeries, MetricsReport), or (TimeSeries,
-    None) for a series too short to report on."""
+    """Simulate one scenario: (written series, report, :func:`failure`).
+
+    The report and the failure read the full-rate series; the written
+    series, for the CSV and SVG writers, is a view of every
+    ``sim.record_stride``-th row.  The report is None for a series too
+    short to report on."""
     ts = sim.simulate_run(sc)
-    if ts.n_samples < 2:
-        return ts, None
-    return ts, metrics.compute_report(ts, run_key=run_key(sc))
+    report = None if ts.n_samples < 2 else metrics.compute_report(ts, run_key=run_key(sc))
+    written = sim.TimeSeries(ts.table[::sc.sim.record_stride], ts.diverged_at)
+    return written, report, failure(ts, report)
 
 
 def failure(ts: sim.TimeSeries, report) -> str | None:
@@ -441,7 +454,7 @@ def failure(ts: sim.TimeSeries, report) -> str | None:
 
 @dataclass
 class SuiteResult:
-    runs: dict                 # name -> (TimeSeries, MetricsReport or None)
+    runs: dict                 # name -> (written TimeSeries, MetricsReport or None)
     matrices: dict             # matrix_group -> ComparisonMatrix
     failures: dict             # name -> message
 
@@ -474,7 +487,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
 
     def execute(job):
         try:
-            return *run(job[2]), None
+            return run(job[2])
         except Exception as exc:  # keep other runs alive, caller sees exit 4
             return None, None, f"{type(exc).__name__}: {exc}"
 
@@ -487,17 +500,15 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     runs = {}
     delayed_reports = {}
     failures = {}
-    for (name, is_delayed, scenario), (ts, report, error) in zip(jobs, outcomes):
-        if error is not None:
-            failures[scenario.name] = error
-            continue
-        if is_delayed:
+    for (name, is_delayed, scenario), (ts, report, why) in zip(jobs, outcomes):
+        if ts is None:
+            failures[scenario.name] = why
+        elif is_delayed:
             delayed_reports[name] = report
-            continue
-        runs[name] = (ts, report)
-        why = failure(ts, report)
-        if why is not None:
-            failures[name] = why
+        else:
+            runs[name] = (ts, report)
+            if why is not None:
+                failures[name] = why
 
     for name in sorted(runs):
         runs[name][0].write_csv(out_dir / f"{name}.csv")

@@ -9,6 +9,7 @@ any state magnitude exceeds 1e6.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ DIVERGENCE_LIMIT = 1e6
 DT_MIN = 1e-6
 DT_MAX = 1e-1
 MAX_STEPS = 10 ** 8
-MAX_RECORDED_SAMPLES = 10 ** 7    # recorded rows x nodes a run may allocate
+MAX_RECORDED_SAMPLES = 10 ** 7    # (steps + 1) x nodes a run may record
 NOISE_BLOCK = 256                 # draws taken from each noise stream at once
 DISTURBANCE_KINDS = ("none", "sinusoid")
 
@@ -40,7 +41,8 @@ class SimConfig:
             raise ConfigError(f"sim.dt must lie in [{DT_MIN:g}, {DT_MAX:g}]")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ConfigError("sim.t_final must be >= dt")
-        if round(self.t_final / self.dt) > MAX_STEPS:
+        steps = self.t_final / self.dt      # inf once the quotient overflows
+        if math.isinf(steps) or round(steps) > MAX_STEPS:
             raise ConfigError(f"sim step count exceeds {MAX_STEPS:g}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("sim.seed must be an integer in [0, 2^64)")
@@ -145,24 +147,27 @@ class DelayLine:
     """FIFO input delay of ceil(tau / dt) steps, filled with ``fill`` at start.
 
     Values are held as given, so a list of node controls comes out as the
-    same list; the simulator fills with a list of +0.0 per node.
+    same list; the simulator fills with a list of +0.0 per node.  Only the
+    pushed values wait in the FIFO, so it never holds more than were
+    pushed, however long the delay.
     """
 
     def __init__(self, tau: float, dt: float, fill=0.0):
         if tau < 0:
             raise ConfigError("delay tau must be >= 0")
         # round() guards against 0.01/0.001 style quotients landing above
-        # the intended integer by one ulp
-        self.n = math.ceil(round(tau / dt, 9))
-        self._buf = [fill] * self.n
-        self._head = 0
+        # the intended integer by one ulp; no run pushes more than
+        # MAX_STEPS + 1 values, so a longer delay only ever emits the fill
+        self.n = math.ceil(min(round(tau / dt, 9), MAX_STEPS + 1))
+        self._fill = fill
+        self._held = deque()
 
     def push(self, u):
         if self.n == 0:
             return u
-        out = self._buf[self._head]
-        self._buf[self._head] = u
-        self._head = (self._head + 1) % self.n
+        held = self._held
+        out = held.popleft() if len(held) == self.n else self._fill
+        held.append(u)
         return out
 
 
@@ -362,21 +367,21 @@ def simulate_run(scenario) -> TimeSeries:
     of NOISE_BLOCK per stream and converted to floats once per block,
     Duffing's x ** 3 runs on numpy's array power loop, and rk4_step hands
     back an ndarray.  The record is one preallocated table in CSV column
-    order (see TimeSeries); each recorded row is filled field by field
-    through strided slices.  The input gain is constant and read once per
-    run.
+    order (see TimeSeries) with one row per step, filled field by field
+    through strided slices; ``sim.record_stride`` is not read here, it
+    thins only the series scenarios.run hands to the writers.  The input
+    gain is constant and read once per run.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
-    state (t + dt) and the series keeps every sample before it, so at
-    ``record_stride`` 1, ``diverged_at == n_samples * dt``.
+    state (t + dt) and the series keeps every sample before it, so
+    ``diverged_at == n_samples * dt``.
     """
     plant = scenario.make_plant()
     n = plant.n_nodes
     cfg = scenario.sim
     dt = cfg.dt
     n_steps = cfg.n_steps
-    stride = cfg.record_stride
 
     if len(scenario.controller) != n:
         raise ConfigError(f"expected {n} controllers, got {len(scenario.controller)}")
@@ -398,10 +403,9 @@ def simulate_run(scenario) -> TimeSeries:
     g = plant.gain(x0).tolist()
 
     w = len(_PER_NODE)
-    table = np.empty((n_steps // stride + 1, 2 + w * n))
+    table = np.empty((n_steps + 1, 2 + w * n))
     row = [0.0] * table.shape[1]
     diverged_at = None
-    rec_i = 0
 
     def deriv(y, tau):
         # reads the held u_applied and d of the step being integrated
@@ -416,12 +420,10 @@ def simulate_run(scenario) -> TimeSeries:
         u_applied = delay.push(u) if delay.n else u
         d = eval_disturbance(disturbance, t) if disturbed else 0.0
 
-        if k % stride == 0:
-            row[0], row[-1] = t, d
-            row[1:-1:w], row[2:-1:w], row[3:-1:w] = state[0::2], state[1::2], u_applied
-            row[4:-1:w], row[5:-1:w], row[6:-1:w], row[7:-1:w] = alpha, beta, s, V
-            table[rec_i] = row
-            rec_i += 1
+        row[0], row[-1] = t, d
+        row[1:-1:w], row[2:-1:w], row[3:-1:w] = state[0::2], state[1::2], u_applied
+        row[4:-1:w], row[5:-1:w], row[6:-1:w], row[7:-1:w] = alpha, beta, s, V
+        table[k] = row
 
         if k == n_steps:
             break
@@ -434,4 +436,4 @@ def simulate_run(scenario) -> TimeSeries:
             diverged_at = t + dt
             break
 
-    return TimeSeries(table[:rec_i], diverged_at)
+    return TimeSeries(table[:k + 1], diverged_at)

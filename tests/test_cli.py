@@ -142,14 +142,18 @@ def test_run_out_dir_naming_a_file_is_config_error(tmp_path, capsys):
 
 
 def test_run_recording_over_the_cap_is_config_error(tmp_path, capsys):
-    # 2e7 steps at stride 1 would record more than sim.MAX_RECORDED_SAMPLES
-    code = main(["run", FIG1, "--out-dir", str(tmp_path),
-                 "--set", "sim.t_final=20000"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid scenario: sim: ") and err.count("\n") == 1
-    assert "sim.record_stride" in err
-    assert not list(tmp_path.iterdir())
+    # every one of 2e7 steps is recorded, more than sim.MAX_RECORDED_SAMPLES,
+    # whatever the stride of the written files
+    for stride in (1, 10):
+        code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                     "--set", "sim.t_final=20000",
+                     "--set", f"sim.record_stride={stride}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: sim: ") and err.count("\n") == 1
+        assert "20000001 recorded samples" in err
+        assert "sim.record_stride" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_run_divergence_exit_code(tmp_path, capsys):
@@ -186,6 +190,31 @@ def test_run_integer_too_large_for_a_float_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "invalid scenario: controller.lambda: expected a finite number\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["sim.t_final=1e308"], "sim: sim step count exceeds 1e+08"),
+    (["disturbance.kind=sinusoid", "disturbance.amplitude=0.1",
+      "disturbance.angular_frequency=1e308", "sim.t_final=2.5"],
+     "disturbance.angular_frequency: the phase at sim.t_final overflows a float"),
+    (["estimate_velocity=true", "velocity_filter_cutoff_hz=1e308", "sim.t_final=0.01"],
+     "velocity_filter_cutoff_hz: 2 pi cutoff sim.dt overflows a float"),
+], ids=["step-count", "disturbance-phase", "filter-coefficient"])
+def test_run_overflowing_derived_number_is_config_error(tmp_path, capsys, sets, message):
+    args = ["run", FIG1, "--out-dir", str(tmp_path)]
+    for text in sets:
+        args += ["--set", text]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_delay_longer_than_any_run(tmp_path, capsys):
+    code = main(["run", FIG1, "--out-dir", str(tmp_path),
+                 "--set", "delay.tau=1e308", "--set", "sim.t_final=0.01"])
+    assert code == 0
+    ts = sim.TimeSeries.read_csv(tmp_path / f"{FIG1}.csv")
+    assert not ts.u.any()       # every applied control is the fill
 
 
 def test_run_tanh_table_over_the_limit_is_config_error(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Metric definitions on synthetic series plus frozen run regressions."""
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclab import metrics, scenarios, sim
 from smclab.errors import InvalidInputError
@@ -320,7 +324,6 @@ def test_pendulum_reports_regression(suite_serial):
     assert cl.max_abs_u == 5.0
 
 
-@pytest.mark.xfail(strict=True, reason="metrics read the strided recording (ROADMAP 2b)")
 def test_record_stride_keeps_full_rate_metrics(suite_serial):
     result, _, _ = suite_serial
     full = result.runs["fig1_pendulum_classical"][1]
@@ -329,6 +332,70 @@ def test_record_stride_keeps_full_rate_metrics(suite_serial):
     strided = compute_report(sim.simulate_run(scenarios.validate(raw)))
     assert strided.chattering_index == full.chattering_index
     assert strided.max_slew == full.max_slew
+
+
+def _stride_outcome(raw, stride):
+    """(report row, failure, CSV lines, diverged_at) of ``scenarios.run``."""
+    raw = dict(raw, sim=dict(raw["sim"], record_stride=stride))
+    ts, report, why = scenarios.run(scenarios.validate(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        ts.write_csv(path)
+        lines = path.read_text().splitlines()
+    return report and report.csv_row(), why, lines, ts.diverged_at
+
+
+def _assert_stride_independent(raw, stride):
+    row, why, lines, diverged_at = _stride_outcome(raw, stride)
+    full_row, full_why, full_lines, full_diverged_at = _stride_outcome(raw, 1)
+    assert (row, why) == (full_row, full_why)
+    body = 1 + full_lines[0].startswith("#")     # the divergence comment, the header
+    assert lines == full_lines[:body] + full_lines[body::stride]
+    assert diverged_at == full_diverged_at
+    return diverged_at
+
+
+@st.composite
+def _strided_run(draw):
+    """A short run of any plant and law, optionally noisy and delayed."""
+    law = draw(st.sampled_from(metrics.CONTROLLER_ORDER + ("none",)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        plant = {"name": "network5", "n": n,
+                 "topology": draw(st.sampled_from(["ring", "chain"]))}
+    else:
+        n, plant = 1, {"name": draw(st.sampled_from(["pendulum", "vdp", "duffing"]))}
+    raw = {
+        "name": "strided",
+        "plant": plant,
+        "controller": {"name": law},
+        "x0": draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)),
+        "sim": {"dt": 1e-3, "t_final": draw(st.floats(0.005, 0.06)),
+                "seed": draw(st.integers(0, 2 ** 32))},
+    }
+    if draw(st.booleans()):
+        raw["noise"] = {"std_x": draw(st.floats(0.0, 0.05)),
+                        "std_v": draw(st.floats(0.0, 0.05))}
+    if draw(st.booleans()):
+        raw["delay"] = {"tau": draw(st.floats(0.0, 0.02))}
+    return raw, draw(st.integers(2, 12))
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_strided_run())
+def test_property_record_stride_thins_only_the_written_series(case):
+    _assert_stride_independent(*case)
+
+
+def test_record_stride_keeps_divergence_time():
+    raw = {
+        "name": "blowup",
+        "plant": {"name": "duffing", "lin": 5.0, "cub": 1.0, "delta": 0.0},
+        "controller": {"name": "none"},
+        "x0": [1.0, 0.0],
+        "sim": {"dt": 1e-3, "t_final": 10.0},
+    }
+    assert math.isclose(_assert_stride_independent(raw, 7), 1.087, abs_tol=1e-9)
 
 
 def test_network_report_regression(suite_serial):

@@ -76,12 +76,17 @@ def test_recorded_sample_cap_is_a_violation():
     raw["bogus"] = 1
     with pytest.raises(ScenarioValidationError) as err:
         validate(raw)
-    capped = [msg for msg in err.value.errors if "sim.record_stride" in msg]
+    capped = [msg for msg in err.value.errors if "recorded samples" in msg]
     assert len(capped) == 1 and "10000010 recorded samples" in capped[0]
     assert any("bogus" in msg for msg in err.value.errors)
 
+    # the stride thins only the written files: every step is still recorded
     del raw["bogus"]
     raw["sim"]["record_stride"] = 2
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == capped
+    raw["sim"]["t_final"] = 999.0
     assert validate(raw).sim.record_stride == 2
 
 

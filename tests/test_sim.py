@@ -160,6 +160,20 @@ def test_vector_delay_line_matches_scalar_lines():
         assert out.tolist() == ref
 
 
+def test_delay_longer_than_the_run_holds_only_its_pushes():
+    # ceil(tau / dt) = 1e6 slots would take 8 MB if allocated up front
+    sc = scenarios.validate(_pendulum_raw(delay={"tau": 1e3},
+                                          sim={"dt": 1e-3, "t_final": 0.01}))
+    tracemalloc.start()
+    try:
+        ts = simulate_run(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert ts.n_samples == 11 and not ts.u.any()
+
+
 def test_delay_line_zero_tau_passthrough():
     line = DelayLine(0.0, 1e-3)
     assert line.n == 0
@@ -295,9 +309,11 @@ def test_velocity_estimation_path_still_stabilizes():
 
 def test_record_stride_downsamples():
     raw = _pendulum_raw(sim={"dt": 1e-3, "t_final": 10.0, "record_stride": 10})
-    ts = simulate_run(scenarios.validate(raw))
+    sc = scenarios.validate(raw)
+    ts = scenarios.run(sc)[0]
     assert ts.n_samples == 1001
     assert abs(float(ts.t[1]) - 0.01) < 1e-15
+    assert np.array_equal(ts.table, simulate_run(sc).table[::10])
 
 
 def test_divergence_flagged_with_partial_series():
@@ -482,7 +498,7 @@ _RING6 = {"plant": {"name": "network5", "n": 6, "topology": "ring"},
 )
 def test_vectorized_run_matches_per_node_reference(raw):
     scenario = scenarios.validate(raw)
-    got = simulate_run(scenario)
+    got = scenarios.run(scenario)[0]
     want = _reference_run(scenario)
     assert not got.diverged
     for field in ("t", "x", "v", "u", "alpha", "beta", "s", "V", "d"):
