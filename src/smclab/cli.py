@@ -46,9 +46,11 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
+    # an overflowing slack would never end the loop
+    limit = min(hi + 1e-9 * span, sys.float_info.max)
     ticks = []
     k = 0
-    while first + k * step <= hi + 1e-9 * span:
+    while first + k * step <= limit:
         val = first + k * step
         ticks.append(0.0 if abs(val) < 1e-9 * step else val)
         k += 1
@@ -66,7 +68,11 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        # +-1 around a flat trace, or +-|y| / 16 where 1 would vanish in
+        # rounding; the ends stay within the largest float
+        pad = 1.0 if abs(y_lo) < 2.0 ** 52 else abs(y_lo) / 16
+        big = sys.float_info.max
+        y_lo, y_hi = max(y_lo - pad, -big), min(y_hi + pad, big)
     else:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -117,7 +123,8 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
         idx = np.arange(0, xs.shape[0], stride)
         if idx[-1] != xs.shape[0] - 1:
             idx = np.append(idx, xs.shape[0] - 1)
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs[idx], ys[idx]))
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           px(xs[idx]).tolist(), py(ys[idx]).tolist()))
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -366,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser(
         "suite",
         help="run the built-in benchmark suite",
-        epilog="example: smclab suite --out-dir results --parallelism 4",
+        epilog="example: smclab suite --out-dir results",
     )
     p_suite.add_argument("--out-dir", help=f"output directory (default ${OUT_ENV_VAR} or ./{DEFAULT_OUT})")
     p_suite.add_argument("--parallelism", type=int, default=1,
-                         help="number of concurrent runs (default 1)")
+                         help="accepted for compatibility, must be >= 1 (default 1); "
+                              "runs execute one at a time in the calling thread, "
+                              "so output is identical at every value")
     p_suite.set_defaults(func=cmd_suite)
 
     p_plot = sub.add_parser(

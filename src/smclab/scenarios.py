@@ -28,7 +28,6 @@ import dataclasses
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -464,9 +463,10 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     comparison matrices.
 
     A run that raises, diverges or overflows (:func:`failure`) is listed in
-    ``failures`` and the suite keeps going.  Output bytes are independent
-    of ``parallelism``: results are collected behind a join barrier and
-    written single-threaded in name order.  Each scenario in a
+    ``failures`` and the suite keeps going.  Runs execute one at a time,
+    in job order, in the calling thread (the step loop holds the
+    interpreter lock), so output is identical at every ``parallelism``,
+    which must be >= 1.  Files are written in name order.  Each scenario in a
     ``matrix_group`` is rerun with a 10 ms input delay to fill the
     DelayTolerant row; those reruns are not written to disk.
     """
@@ -491,11 +491,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         except Exception as exc:  # keep other runs alive, caller sees exit 4
             return None, None, f"{type(exc).__name__}: {exc}"
 
-    if parallelism == 1:
-        outcomes = [execute(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(execute, jobs))
+    outcomes = [execute(job) for job in jobs]
 
     runs = {}
     delayed_reports = {}

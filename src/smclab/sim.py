@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -116,14 +117,22 @@ class NoiseStreams:
     Stream identities are derived from the scenario seed as (seed, node, 0)
     for positions and (seed, node, 1) for velocities, so adding nodes never
     reshuffles the draws of existing ones.  ``x_rows``/``v_rows`` yield one
-    draw per node and step.
+    draw per node and step.  The velocity streams are built on first use,
+    so a run that never reads velocity noise builds none.
     """
 
     def __init__(self, seed: int, n_nodes: int):
         self.x = [np.random.default_rng([seed, i, 0]) for i in range(n_nodes)]
-        self.v = [np.random.default_rng([seed, i, 1]) for i in range(n_nodes)]
         self.x_rows = _draw_rows(self.x)
-        self.v_rows = _draw_rows(self.v)
+        self._seed, self._n_nodes = seed, n_nodes
+
+    @cached_property
+    def v(self) -> list:
+        return [np.random.default_rng([self._seed, i, 1]) for i in range(self._n_nodes)]
+
+    @cached_property
+    def v_rows(self):
+        return _draw_rows(self.v)
 
 
 def apply_noise(state, cfg: NoiseConfig, streams: NoiseStreams) -> list:
@@ -356,7 +365,8 @@ def simulate_run(scenario) -> TimeSeries:
     are skipped, as decided once per run: with ``std_x == std_v == 0`` the
     measured state is the state (and no noise stream is built), with a
     zero-step delay the applied control is the control, and with
-    disturbance kind "none" d is 0.0.
+    disturbance kind "none" d is 0.0.  Under ``estimate_velocity`` the
+    estimate replaces the measured v, so no velocity noise is drawn.
 
     The step works on Python floats: node vectors are lists, and a one-node
     plant's derivative unpacks two floats, because numpy call overhead on
@@ -387,6 +397,8 @@ def simulate_run(scenario) -> TimeSeries:
         raise ConfigError(f"expected {n} controllers, got {len(scenario.controller)}")
     control = controllers.node_laws(scenario.controller, scenario.controller_params)
     noise = scenario.noise
+    if scenario.estimate_velocity:
+        noise = NoiseConfig(std_x=noise.std_x)
     noisy = noise.std_x > 0.0 or noise.std_v > 0.0
     streams = NoiseStreams(cfg.seed, n) if noisy else None
     delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)

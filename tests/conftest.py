@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The built-in suite is expensive (20 runs plus delayed reruns), so it is
-executed once per session at two parallelism levels and shared by the
-scenario, CLI, and acceptance tests.
+executed once per session at each of two parallelism levels and shared by
+the scenario, CLI, and acceptance tests.
 """
 import time
 
@@ -22,7 +22,8 @@ def suite_serial(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def suite_parallel(tmp_path_factory):
-    """(SuiteResult, out_dir) at parallelism 4, for determinism checks."""
+    """(SuiteResult, out_dir) of a second run in this process, at parallelism
+    4: the determinism checks compare its bytes with ``suite_serial``'s."""
     out = tmp_path_factory.mktemp("suite_p4")
     result = scenarios.run_suite(scenarios.builtin_suite(), out, parallelism=4)
     return result, out

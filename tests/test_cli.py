@@ -1,6 +1,8 @@
 """End-to-end checks of the smclab command line interface."""
 import json
+import math
 import re
+import sys
 
 import pytest
 
@@ -168,6 +170,20 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert text.startswith("# diverged_at=")
     loaded = sim.TimeSeries.read_csv(tmp_path / "out" / "blowup.csv")
     assert loaded.diverged and loaded.diverged_at == 1.087
+
+
+def test_run_diverging_on_flat_huge_values_writes_its_figure(tmp_path, capsys):
+    # the one recorded x is 1e308, a flat range that a pad of 1 cannot widen
+    code = main(["run", FIG1, "--out-dir", str(tmp_path), "--set", "x0=[1e308,0]",
+                 "--set", "sim.t_final=0.01"])
+    assert code == 3
+    assert capsys.readouterr().err == "run diverged at t=0.001 s, partial output written\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{FIG1}.csv", f"{FIG1}.svg"]
+
+    for y in (1e308, -1e308, sys.float_info.max, -sys.float_info.max):
+        svg = cli.render_line_svg([("x", [0.0, 1.0], [y, y])])
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+        assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", points))
 
 
 def test_run_honours_out_env_var(tmp_path, monkeypatch):

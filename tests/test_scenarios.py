@@ -1,6 +1,7 @@
 """Scenario schema, validation, the built-in suite, and the batch driver."""
 import dataclasses
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -388,6 +389,25 @@ def test_suite_output_is_parallelism_independent(suite_serial, suite_parallel):
     assert names1 == names4
     for name in names1:
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_run_suite_runs_every_job_in_the_calling_thread(tmp_path, monkeypatch, parallelism):
+    # wrappers around sim.simulate_run (such as a profiler) see every run
+    threads = []
+    simulate_run = sim.simulate_run
+
+    def recorded(sc):
+        threads.append(threading.get_ident())
+        return simulate_run(sc)
+
+    monkeypatch.setattr(sim, "simulate_run", recorded)
+    short = sim.SimConfig(t_final=0.05)
+    pair = [dataclasses.replace(sc, sim=short) for sc in builtin_suite()
+            if sc.matrix_group == "pendulum"][:2]
+    result = run_suite(pair, tmp_path, parallelism=parallelism)
+    assert not result.failures and set(result.matrices) == {"pendulum"}
+    assert threads == [threading.get_ident()] * 4    # two runs, two delayed reruns
 
 
 def test_run_suite_collects_failures(tmp_path):

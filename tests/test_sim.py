@@ -307,6 +307,22 @@ def test_velocity_estimation_path_still_stabilizes():
     assert abs(float(ts.x[-1, 0])) < 0.05
 
 
+def test_velocity_estimation_draws_no_velocity_noise(monkeypatch):
+    # the estimate replaces the measured v, so std_v changes nothing and
+    # no velocity stream is ever built
+    def unread(self):
+        raise AssertionError("velocity noise drawn under estimate_velocity")
+
+    monkeypatch.setattr(NoiseStreams, "v", property(unread))
+    base = _pendulum_raw(estimate_velocity=True,
+                         sim={"dt": 1e-3, "t_final": 1.0, "seed": 3})
+    quiet = simulate_run(scenarios.validate(dict(base, noise={"std_x": 0.01})))
+    noisy = simulate_run(
+        scenarios.validate(dict(base, noise={"std_x": 0.01, "std_v": 0.5}))
+    )
+    assert np.array_equal(quiet.table, noisy.table)
+
+
 def test_record_stride_downsamples():
     raw = _pendulum_raw(sim={"dt": 1e-3, "t_final": 10.0, "record_stride": 10})
     sc = scenarios.validate(raw)
