@@ -6,12 +6,14 @@ Exit codes: 0 success, 2 configuration problem, 3 divergence or overflow,
 from __future__ import annotations
 
 import argparse
+# html.escape(quote=False) replaces &, < and > as xml.sax.saxutils.escape
+# does, without importing urllib, http, email and ssl
+import html
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -141,13 +143,14 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
         )
         parts.append(
             f'<text x="{width - mr - 120:.2f}" y="{y + 4:.2f}" font-size="11" '
-            f'fill="#333333">{escape(str(label))}</text>'
+            f'fill="#333333">{html.escape(str(label), quote=False)}</text>'
         )
 
     if title:
         parts.append(
             f'<text x="{width / 2:.2f}" y="{mt - 12:.2f}" font-size="14" '
-            f'text-anchor="middle" fill="#111111">{escape(title)}</text>'
+            f'text-anchor="middle" fill="#111111">'
+            f'{html.escape(title, quote=False)}</text>'
         )
     parts.append(
         f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" '
@@ -158,7 +161,7 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
             f'<text x="16" y="{(mt + height - mb) / 2:.2f}" font-size="12" '
             f'text-anchor="middle" fill="#111111" '
             f'transform="rotate(-90 16 {(mt + height - mb) / 2:.2f})">'
-            f'{escape(ylabel)}</text>'
+            f'{html.escape(ylabel, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -217,15 +220,25 @@ def _node_traces(ts: sim.TimeSeries, base: str):
     ]
 
 
-def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path) -> list[Path]:
-    """Write one SVG per view in ``views`` (see ``scenarios.VIEWS``)."""
+def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path,
+                 skip_unplottable: bool = False) -> list[Path]:
+    """Write one SVG per view in ``views`` (see ``scenarios.VIEWS``).
+
+    With ``skip_unplottable``, a view whose values a float cannot span is
+    left out with one line on stderr instead of raising SmcLabError.
+    """
     written = []
     for view, (suffix, column, ylabel) in scenarios.VIEWS.items():
         if view in views:
             path = out_dir / f"{name}{suffix}"
-            path.write_text(
-                render_line_svg(_node_traces(ts, column), title=name, ylabel=ylabel)
-            )
+            try:
+                svg = render_line_svg(_node_traces(ts, column), title=name, ylabel=ylabel)
+            except SmcLabError as exc:
+                if not skip_unplottable:
+                    raise
+                print(f"skipped {path}: {exc}", file=sys.stderr)
+                continue
+            path.write_text(svg)
             written.append(path)
     return written
 
@@ -271,7 +284,9 @@ def cmd_run(args) -> int:
         written.append(metrics_path)
 
     if not args.no_svg:
-        written += _write_views(ts, scenario.name, scenario.views, out_dir)
+        # a failed run exits 3 even when a figure cannot be drawn
+        written += _write_views(ts, scenario.name, scenario.views, out_dir,
+                                skip_unplottable=why is not None)
 
     for path in written:
         print(f"wrote {path}")

@@ -1,8 +1,9 @@
 """Sliding mode controller variants for second-order plants.
 
 Every law maps a measured (x, v) pair and the local input gain g to the
-control value plus diagnostics with a shared schema: ``u``, ``alpha``,
-``beta``, sliding variable ``s`` and the energy ``V = s^2 / 2``.
+control ``u`` and the surface terms ``alpha`` and ``beta``, from which
+:func:`surface_energy` gives the sliding variable ``s = alpha - beta`` and
+the energy ``V = s^2 / 2``.
 
 * ``observer-free``   u = -lambda tanh(alpha), alpha = v + k1 x,
                       beta = u / g, s = alpha - beta
@@ -16,8 +17,8 @@ The baselines record ``alpha = s`` and ``beta = 0`` so every run shares one
 output schema.
 
 Each law's arithmetic exists once, in its list form: per-node lists of x,
-v and g in, per-node lists u, alpha, beta, s and V out.  The simulator
-calls it once per step per group of nodes sharing a law and its parameters
+v and g in, per-node lists u, alpha and beta out.  The simulator calls it
+once per step per group of nodes sharing a law and its parameters
 (:func:`node_laws`).  The public one-node functions are thin calls into it
 that check their inputs first: finite x, v and g, ``|g| >= G_MIN``, dt > 0.
 
@@ -161,8 +162,13 @@ def _tanh_lookup(alpha: list, size: int) -> list:
     return [-m if a < 0 else m for a, m in zip(alpha, mags)]
 
 
-def _columns(u, alpha, beta, s):
-    return u, alpha, beta, s, [0.5 * si * si for si in s]
+def surface_energy(alpha, beta):
+    """(s, V) = (alpha - beta, 0.5 * s * s), on floats or elementwise on
+    arrays, with the same bits and, like floats, no overflow warnings.
+    For the baselines' beta = 0.0, s is alpha bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = alpha - beta
+        return s, 0.5 * s * s
 
 
 def _surface(p, xs, vs) -> list:
@@ -174,33 +180,33 @@ def _observer_free_rows(p, state, xs, vs, gs, dt):
     size = p.tanh_table_size
     th = _tanh_lookup(alpha, size) if size else map(math.tanh, alpha)
     u = [-p.lam * t for t in th]
-    beta = [ui / g for ui, g in zip(u, gs)]
-    return _columns(u, alpha, beta, [a - b for a, b in zip(alpha, beta)]), state
+    return (u, alpha, [ui / g for ui, g in zip(u, gs)]), state
 
 
 def _classical_rows(p, state, xs, vs, gs, dt):
     s = _surface(p, xs, vs)
-    return _columns([-p.k * _sign(si) for si in s], s, [0.0] * len(s), s), state
+    return ([-p.k * _sign(si) for si in s], s, [0.0] * len(s)), state
 
 
 def _super_twisting_rows(p, vis, xs, vs, gs, dt):
     s = _surface(p, xs, vs)
     u = [-p.k1st * math.sqrt(abs(si)) * _sign(si) + vi for si, vi in zip(s, vis)]
     vis = [vi - p.k2st * _sign(si) * dt for si, vi in zip(s, vis)]
-    return _columns(u, s, [0.0] * len(s), s), vis
+    return (u, s, [0.0] * len(s)), vis
 
 
 def _adaptive_rows(p, ks, xs, vs, gs, dt):
     s = _surface(p, xs, vs)
     u = [-k * min(1.0, max(-1.0, si / p.phi)) for si, k in zip(s, ks)]
     ks = [min(p.kmax, k + p.gamma * abs(si) * dt) for si, k in zip(s, ks)]
-    return _columns(u, s, [0.0] * len(s), s), ks
+    return (u, s, [0.0] * len(s)), ks
 
 
 def _one(rows, p, state, x, v, g, dt) -> tuple[ControlOutput, object]:
     """A list form on one node; ``state`` is that node's state or None."""
-    cols, state = rows(p, None if state is None else [state], [x], [v], [g], dt)
-    return ControlOutput(*[c[0] for c in cols]), None if state is None else state[0]
+    (u, alpha, beta), state = rows(p, None if state is None else [state], [x], [v], [g], dt)
+    out = ControlOutput(u[0], alpha[0], beta[0], *surface_energy(alpha[0], beta[0]))
+    return out, None if state is None else state[0]
 
 
 def _check_dt(dt) -> float:
@@ -252,7 +258,7 @@ def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
 
 class _Law(NamedTuple):
     params: type
-    # list form: (params, states, xs, vs, gs, dt) -> ((u, alpha, beta, s, V),
+    # list form: (params, states, xs, vs, gs, dt) -> ((u, alpha, beta),
     # states) over per-node lists; states is None for laws that keep none
     rows: Callable
     # params -> a priori bound on |u|, None when the law carries no such bound
@@ -267,7 +273,7 @@ _LAWS = {
     "super-twisting": _Law(SuperTwistingParams, _super_twisting_rows,
                            lambda p: None, lambda p: 0.0),
     "adaptive": _Law(AdaptiveParams, _adaptive_rows, lambda p: p.kmax, lambda p: p.k0),
-    "none": _Law(type(None), lambda p, st, xs, *_: (([0.0] * len(xs),) * 5, st),
+    "none": _Law(type(None), lambda p, st, xs, *_: (([0.0] * len(xs),) * 3, st),
                  lambda p: 0.0),
 }
 CONTROLLER_NAMES = tuple(_LAWS)
@@ -325,8 +331,8 @@ class Controller:
 
 def node_laws(names, params) -> Callable:
     """One control step over a run's nodes, ``(xs, vs, gs, dt) -> (u, alpha,
-    beta, s, V)``, per-node lists in and out; node i runs law ``names[i]``
-    with ``params[i]``.
+    beta)``, per-node lists in and out; node i runs law ``names[i]`` with
+    ``params[i]``.
 
     Nodes are grouped by (law, params) once, and each step calls every
     group's list form once with the group's run state.  One group spanning
@@ -347,7 +353,7 @@ def node_laws(names, params) -> Callable:
             part = parts[0]
             cols, part[2] = part[0](part[1], part[2], xs, vs, gs, dt)
             return cols
-        cols = [[0.0] * n for _ in range(5)]
+        cols = [[0.0] * n for _ in range(3)]
         for part in parts:
             rows, p, state, nodes = part
             picked = ([seq[i] for i in nodes] for seq in (xs, vs, gs))

@@ -25,6 +25,7 @@ DT_MAX = 1e-1
 MAX_STEPS = 10 ** 8
 MAX_RECORDED_SAMPLES = 10 ** 7    # (steps + 1) x nodes a run may record
 NOISE_BLOCK = 256                 # draws taken from each noise stream at once
+RECORD_BLOCK = 1024               # recorded values held between table writes
 DISTURBANCE_KINDS = ("none", "sinusoid")
 
 
@@ -377,10 +378,12 @@ def simulate_run(scenario) -> TimeSeries:
     of NOISE_BLOCK per stream and converted to floats once per block,
     Duffing's x ** 3 runs on numpy's array power loop, and rk4_step hands
     back an ndarray.  The record is one preallocated table in CSV column
-    order (see TimeSeries) with one row per step, filled field by field
-    through strided slices; ``sim.record_stride`` is not read here, it
-    thins only the series scenarios.run hands to the writers.  The input
-    gain is constant and read once per run.
+    order (see TimeSeries): each step appends its state, u_applied, alpha,
+    beta and d to one list, written into the table through strided slices
+    once it holds RECORD_BLOCK values; t, s and V are filled after the
+    loop.  ``sim.record_stride`` is not read here, it thins only the
+    series scenarios.run hands to the writers.  The input gain is constant
+    and read once per run.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
@@ -416,7 +419,7 @@ def simulate_run(scenario) -> TimeSeries:
 
     w = len(_PER_NODE)
     table = np.empty((n_steps + 1, 2 + w * n))
-    row = [0.0] * table.shape[1]
+    buf, done = [], 0    # recorded steps not yet written, rows written
     diverged_at = None
 
     def deriv(y, tau):
@@ -428,14 +431,14 @@ def simulate_run(scenario) -> TimeSeries:
         measured = apply_noise(state, noise, streams) if noisy else state
         xm = measured[0::2]
         vm = measured[1::2] if estimator is None else estimator.update(xm)
-        u, alpha, beta, s, V = control(xm, vm, g, dt)
+        u, alpha, beta = control(xm, vm, g, dt)
         u_applied = delay.push(u) if delay.n else u
         d = eval_disturbance(disturbance, t) if disturbed else 0.0
 
-        row[0], row[-1] = t, d
-        row[1:-1:w], row[2:-1:w], row[3:-1:w] = state[0::2], state[1::2], u_applied
-        row[4:-1:w], row[5:-1:w], row[6:-1:w], row[7:-1:w] = alpha, beta, s, V
-        table[k] = row
+        buf += [*state, *u_applied, *alpha, *beta, d]
+        if len(buf) >= RECORD_BLOCK:
+            done = _write_block(table, done, buf, n)
+            buf.clear()
 
         if k == n_steps:
             break
@@ -448,4 +451,22 @@ def simulate_run(scenario) -> TimeSeries:
             diverged_at = t + dt
             break
 
-    return TimeSeries(table[:k + 1], diverged_at)
+    _write_block(table, done, buf, n)
+    table = table[:k + 1]
+    table[:, 0] = np.arange(k + 1) * dt
+    table[:, 6:-1:w], table[:, 7:-1:w] = controllers.surface_energy(
+        table[:, 4:-1:w], table[:, 5:-1:w])
+    return TimeSeries(table, diverged_at)
+
+
+def _write_block(table, start: int, values: list, n: int) -> int:
+    """Write steps recorded as [*state, *u, *alpha, *beta, d] over ``n``
+    nodes into ``table`` from row ``start``; returns the next row."""
+    block = np.array(values).reshape(-1, 5 * n + 1)
+    rows = table[start:start + len(block)]
+    w = len(_PER_NODE)
+    rows[:, 1:-1:w], rows[:, 2:-1:w] = block[:, 0:2 * n:2], block[:, 1:2 * n:2]
+    for j in range(2, 5):
+        rows[:, 1 + j:-1:w] = block[:, j * n:(j + 1) * n]
+    rows[:, -1] = block[:, -1]
+    return start + len(block)

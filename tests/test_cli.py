@@ -1,7 +1,9 @@
 """End-to-end checks of the smclab command line interface."""
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -184,6 +186,40 @@ def test_run_diverging_on_flat_huge_values_writes_its_figure(tmp_path, capsys):
         svg = cli.render_line_svg([("x", [0.0, 1.0], [y, y])])
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
         assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", points))
+
+
+def test_run_diverging_beyond_a_float_span_skips_its_figure(tmp_path, capsys):
+    # x spans 2e308, which no float holds: the divergence still decides the exit
+    code = main(["run", "fig4_network5_observer_free", "--out-dir", str(tmp_path),
+                 "--set", "x0=[1e308,0,-1e308,0,0,0,0,0,0,0]", "--set", "sim.t_final=0.01"])
+    assert code == 3
+    svg = tmp_path / "fig4_network5_observer_free.svg"
+    assert capsys.readouterr().err == (
+        f"skipped {svg}: the plotted values span more than a float can hold\n"
+        "run diverged at t=0.001 s, partial output written\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["fig4_network5_observer_free.csv"]
+
+
+def test_svg_escapes_title_and_labels_as_xml_sax(tmp_path):
+    # the bytes xml.sax.saxutils.escape gave: &, < and > replaced, quotes kept
+    text = """a&b<c>"d'e"""
+    escaped = """a&amp;b&lt;c&gt;"d'e"""
+    traces = [(text, [0.0, 1.0], [0.0, 2.0])]
+    svg = cli.render_line_svg(traces, title=text, ylabel=text)
+    plain = cli.render_line_svg([("LABEL", [0.0, 1.0], [0.0, 2.0])],
+                                title="TITLE", ylabel="YLABEL")
+    want = (plain.replace(">LABEL<", f">{escaped}<").replace(">TITLE<", f">{escaped}<")
+            .replace(">YLABEL<", f">{escaped}<"))
+    assert svg == want and svg.count(escaped) == 3
+
+
+def test_importing_the_cli_leaves_urllib_out():
+    code = "import sys, smclab.cli; print('urllib.request' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_run_honours_out_env_var(tmp_path, monkeypatch):

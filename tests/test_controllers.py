@@ -1,5 +1,6 @@
 """Control law unit checks: hand values, structure, boundedness, symmetry."""
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -389,6 +390,26 @@ def test_property_list_form_equals_one_node_calls(nodes, dt, table, mixed):
         for j in range(3):    # the inputs turn, and each output depends on the state
             turn = nodes[j % n:] + nodes[:j % n]
             xs, vs, gs = map(list, zip(*turn))
-            got = list(zip(*step(xs, vs, gs, dt)))
-            want = [tuple(c.step(x, v, g, dt)) for c, (x, v, g) in zip(ctrls, turn)]
-            assert repr(got) == repr(want)
+            u, alpha, beta = step(xs, vs, gs, dt)
+            want = [c.step(x, v, g, dt) for c, (x, v, g) in zip(ctrls, turn)]
+            assert repr(list(zip(u, alpha, beta))) == repr([out[:3] for out in want])
+            # the simulator derives s and V from the recorded columns
+            s, V = controllers.surface_energy(np.array(alpha), np.array(beta))
+            assert repr(list(zip(s.tolist(), V.tolist()))) == repr([out[3:] for out in want])
+
+
+edge_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1.7e308])
+
+
+@given(pairs=st.lists(st.tuples(edge_floats, edge_floats), min_size=1, max_size=20))
+def test_property_surface_energy_arrays_equal_floats(pairs):
+    # signed zeros, infinities, nan and values whose V overflows: the
+    # array form gives the float form's bits and warns about none of them
+    alpha, beta = map(list, zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, V = controllers.surface_energy(np.array(alpha), np.array(beta))
+        want = [controllers.surface_energy(a, b) for a, b in pairs]
+    assert s.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert V.tobytes() == np.array([w[1] for w in want]).tobytes()

@@ -178,3 +178,50 @@ def test_pendulum_derivative_at_infinite_position_is_nan(x):
     arrayed = model.derivative(np.array([x, 0.5]), 0.0, np.zeros(1), 0.0)
     assert type(listed) is list and listed[0] == 0.5 and math.isnan(listed[1])
     assert type(arrayed) is np.ndarray and arrayed[0] == 0.5 and math.isnan(arrayed[1])
+
+
+def _oracle_table(want: dict) -> np.ndarray:
+    """The oracle's fields laid out as ``TimeSeries.table``."""
+    per_node = np.stack([want[f] for f in ("x", "v", "u", "alpha", "beta", "s", "V")], axis=2)
+    return np.column_stack([want["t"], per_node.reshape(len(want["t"]), -1), want["d"]])
+
+
+def _steps_per_block(n: int) -> int:
+    # simulate_run holds 5 n + 1 values per step (x, v, u, alpha and beta
+    # per node, and d) and writes them into the table once they reach
+    # RECORD_BLOCK
+    return -(-sim.RECORD_BLOCK // (5 * n + 1))
+
+
+_BLOCK_CASES = {1: CASES["pendulum"], 5: CASES["ring"]}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("delayed", [False, True])
+@pytest.mark.parametrize("disturbed", [False, True])
+@pytest.mark.parametrize("n", sorted(_BLOCK_CASES))
+def test_runs_ending_around_a_table_write_match_the_oracle(n, disturbed, delayed, offset):
+    samples = 2 * _steps_per_block(n) + offset
+    raw = {key: value for key, value in _BLOCK_CASES[n].items() if key != "disturbance"}
+    raw["sim"] = {"dt": 1e-3, "t_final": (samples - 1) * 1e-3}
+    if disturbed:
+        raw["disturbance"] = _SINE
+    if delayed:
+        raw["delay"] = {"tau": 0.01}
+    got = sim.simulate_run(scenarios.validate(raw))
+    assert not got.diverged and got.n_samples == samples
+    assert got.table.tobytes() == _oracle_table(_oracle_run(raw)).tobytes()
+
+
+def test_run_diverging_inside_its_second_block_keeps_the_oracle_prefix():
+    # x'' = 100 x + u + d outgrows the bounded control; v passes the limit
+    # in the middle of the second block of recorded steps
+    raw = _raw({"name": "duffing", "lin": 100.0, "cub": 0.0, "delta": 0.0},
+               [7700.0, 77000.0], _OF, disturbance=_SINE)
+    raw["sim"]["t_final"] = 0.4
+    got = sim.simulate_run(scenarios.validate(raw))
+    per_block = _steps_per_block(1)
+    assert got.diverged and 1.25 * per_block < got.n_samples < 1.75 * per_block
+    assert got.diverged_at == got.n_samples * 1e-3
+    want = _oracle_table(_oracle_run(raw))
+    assert got.table.tobytes() == want[:got.n_samples].tobytes()
