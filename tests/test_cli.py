@@ -201,7 +201,7 @@ def test_run_diverging_beyond_a_float_span_skips_its_figure(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["fig4_network5_observer_free.csv"]
 
 
-def test_svg_escapes_title_and_labels_as_xml_sax(tmp_path):
+def test_svg_escapes_title_and_labels_as_xml_sax():
     # the bytes xml.sax.saxutils.escape gave: &, < and > replaced, quotes kept
     text = """a&b<c>"d'e"""
     escaped = """a&amp;b&lt;c&gt;"d'e"""

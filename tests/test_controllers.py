@@ -413,3 +413,5 @@ def test_property_surface_energy_arrays_equal_floats(pairs):
         want = [controllers.surface_energy(a, b) for a, b in pairs]
     assert s.tobytes() == np.array([w[0] for w in want]).tobytes()
     assert V.tobytes() == np.array([w[1] for w in want]).tobytes()
+    plain = [(a - b, 0.5 * (a - b) * (a - b)) for a, b in pairs]
+    assert np.array(want).tobytes() == np.array(plain).tobytes()
