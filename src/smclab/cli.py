@@ -306,9 +306,9 @@ def cmd_suite(args) -> int:
     suite = scenarios.builtin_suite()
     result = scenarios.run_suite(suite, out_dir, parallelism=args.parallelism)
 
-    by_name = {sc.name: sc for sc in suite}
-    for name in sorted(result.runs):
-        _write_views(result.runs[name][0], name, by_name[name].views, out_dir)
+    for sc in suite:
+        if sc.name in result.runs:
+            _write_views(result.runs[sc.name][0], sc.name, sc.views, out_dir)
 
     for group in sorted(result.matrices):
         print(f"=== {group} ===")

@@ -430,12 +430,14 @@ def run(sc: Scenario):
     """Simulate one scenario: (written series, report, :func:`failure`).
 
     The report and the failure read the full-rate series; the written
-    series, for the CSV and SVG writers, is a view of every
-    ``sim.record_stride``-th row.  The report is None for a series too
-    short to report on."""
+    series, for the CSV and SVG writers, holds every
+    ``sim.record_stride``-th row, copied at a stride above 1 so that the
+    full-rate table is freed on return.  The report is None for a series
+    too short to report on."""
     ts = sim.simulate_run(sc)
     report = None if ts.n_samples < 2 else metrics.compute_report(ts, run_key=run_key(sc))
-    written = sim.TimeSeries(ts.table[::sc.sim.record_stride], ts.diverged_at)
+    table = np.ascontiguousarray(ts.table[::sc.sim.record_stride])
+    written = sim.TimeSeries(table, ts.diverged_at)
     return written, report, failure(ts, report)
 
 
@@ -459,52 +461,66 @@ class SuiteResult:
 
 
 def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
-    """Execute scenarios through :func:`run`, write CSV artifacts, build
-    comparison matrices.
+    """Check the suite, then run it through :func:`run`, write CSV
+    artifacts and build comparison matrices.
 
-    A run that raises, diverges or overflows (:func:`failure`) is listed in
-    ``failures`` and the suite keeps going.  Runs execute one at a time,
-    in job order, in the calling thread (the step loop holds the
-    interpreter lock), so output is identical at every ``parallelism``,
-    which must be >= 1.  Files are written in name order.  Each scenario in a
-    ``matrix_group`` is rerun with a 10 ms input delay to fill the
-    DelayTolerant row; those reruns are not written to disk.
+    Before ``out_dir`` is made or any run starts, names must be unique,
+    ``parallelism`` must be >= 1, and each ``matrix_group`` member must run
+    one (law, params) pair on every node and be its group's only member
+    with that law.  Runs go one at a time, in suite order, in the calling
+    thread (the step loop holds the interpreter lock), so output is
+    identical at every ``parallelism``.  A run that raises, diverges or
+    overflows (:func:`failure`) is listed in ``failures`` and the suite
+    goes on.  Each ``matrix_group`` member is rerun right after its own run
+    with a 10 ms input delay for the DelayTolerant row; only the rerun's
+    report is kept, and a rerun that raises is listed as
+    ``<name>+delay10ms``.  Files are written in name order.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     suite = list(suite)
     names = [sc.name for sc in suite]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate scenario names in suite")
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
-
-    jobs = []
+    seats = set()
     for sc in suite:
-        jobs.append((sc.name, False, sc))
-        if sc.matrix_group:
-            jobs.append((sc.name, True, _delayed_variant(sc)))
+        if not sc.matrix_group:
+            continue
+        group, law = sc.matrix_group, sc.controller[0]
+        # repr tells -0.0 from 0.0, as controllers.node_laws does
+        if len({(n, repr(p)) for n, p in zip(sc.controller, sc.controller_params)}) > 1:
+            raise ConfigError(
+                f"matrix group '{group}' member '{sc.name}' runs more than one "
+                "controller setting across its nodes"
+            )
+        if (group, law) in seats:
+            raise ConfigError(f"matrix group '{group}' has duplicate controller '{law}'")
+        seats.add((group, law))
 
-    def execute(job):
-        try:
-            return run(job[2])
-        except Exception as exc:  # keep other runs alive, caller sees exit 4
-            return None, None, f"{type(exc).__name__}: {exc}"
-
-    outcomes = [execute(job) for job in jobs]
-
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     runs = {}
-    delayed_reports = {}
     failures = {}
-    for (name, is_delayed, scenario), (ts, report, why) in zip(jobs, outcomes):
-        if ts is None:
-            failures[scenario.name] = why
-        elif is_delayed:
-            delayed_reports[name] = report
-        else:
-            runs[name] = (ts, report)
-            if why is not None:
-                failures[name] = why
+    groups: dict[str, dict] = {}   # group -> law -> (report, delayed report, bound)
+    for sc in suite:
+        try:
+            ts, report, why = run(sc)
+            runs[sc.name] = (ts, report)
+        except Exception as exc:  # keep other runs alive, caller sees exit 4
+            report, why = None, f"{type(exc).__name__}: {exc}"
+        if why is not None:
+            failures[sc.name] = why
+        if not sc.matrix_group:
+            continue
+        rerun = _delayed_variant(sc)
+        try:
+            delayed = run(rerun)[1]
+        except Exception as exc:
+            delayed, failures[rerun.name] = None, f"{type(exc).__name__}: {exc}"
+        if report is not None:
+            law = sc.controller[0]
+            bound = controllers.declared_input_bound(law, sc.controller_params[0])
+            groups.setdefault(sc.matrix_group, {})[law] = (report, delayed, bound)
 
     for name in sorted(runs):
         runs[name][0].write_csv(out_dir / f"{name}.csv")
@@ -517,35 +533,14 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
                 f.write(f"{name},{report.csv_row()}\n")
 
     matrices = {}
-    groups: dict[str, list[Scenario]] = {}
-    for sc in suite:
-        if sc.matrix_group and sc.name in runs:
-            groups.setdefault(sc.matrix_group, []).append(sc)
-    for group, members in sorted(groups.items()):
-        if len(members) < 2:
-            continue
-        reports = {}
-        delayed = {}
-        bounds = {}
-        for sc in members:
-            ctrl = sc.controller[0]
-            if ctrl in reports:
-                raise ConfigError(
-                    f"matrix group '{group}' has duplicate controller '{ctrl}'"
-                )
-            report = runs[sc.name][1]
-            if report is None:
-                continue
-            reports[ctrl] = report
-            if sc.name in delayed_reports and delayed_reports[sc.name] is not None:
-                delayed[ctrl] = delayed_reports[sc.name]
-            bounds[ctrl] = controllers.declared_input_bound(
-                ctrl, sc.controller_params[0]
-            )
-        if len(reports) < 2:
+    for group, seated in sorted(groups.items()):
+        if len(seated) < 2:
             continue
         matrix = metrics.comparison_matrix(
-            reports, metrics.DEFAULT_THRESHOLDS, delayed=delayed, input_bounds=bounds
+            {law: seat[0] for law, seat in seated.items()},
+            metrics.DEFAULT_THRESHOLDS,
+            delayed={law: seat[1] for law, seat in seated.items() if seat[1] is not None},
+            input_bounds={law: seat[2] for law, seat in seated.items()},
         )
         matrices[group] = matrix
         with open(out_dir / f"matrix_{group}.csv", "w", newline="") as f:

@@ -391,23 +391,89 @@ def test_suite_output_is_parallelism_independent(suite_serial, suite_parallel):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
-def test_run_suite_runs_every_job_in_the_calling_thread(tmp_path, monkeypatch, parallelism):
-    # wrappers around sim.simulate_run (such as a profiler) see every run
-    threads = []
+def _short_pendulum_pair():
+    short = sim.SimConfig(t_final=0.05)
+    return [dataclasses.replace(sc, sim=short) for sc in builtin_suite()
+            if sc.matrix_group == "pendulum"][:2]
+
+
+def _record_runs(monkeypatch, fail_on=()):
+    """Wrap sim.simulate_run to log (name, thread) per call and raise for
+    the scenario names in ``fail_on``."""
+    calls = []
     simulate_run = sim.simulate_run
 
     def recorded(sc):
-        threads.append(threading.get_ident())
+        calls.append((sc.name, threading.get_ident()))
+        if sc.name in fail_on:
+            raise RuntimeError("boom")
         return simulate_run(sc)
 
     monkeypatch.setattr(sim, "simulate_run", recorded)
-    short = sim.SimConfig(t_final=0.05)
-    pair = [dataclasses.replace(sc, sim=short) for sc in builtin_suite()
-            if sc.matrix_group == "pendulum"][:2]
+    return calls
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_run_suite_runs_every_job_in_the_calling_thread(tmp_path, monkeypatch, parallelism):
+    # wrappers around sim.simulate_run (such as a profiler) see every run,
+    # each delayed rerun right after its own run
+    calls = _record_runs(monkeypatch)
+    pair = _short_pendulum_pair()
     result = run_suite(pair, tmp_path, parallelism=parallelism)
     assert not result.failures and set(result.matrices) == {"pendulum"}
-    assert threads == [threading.get_ident()] * 4    # two runs, two delayed reruns
+    a, b = (sc.name for sc in pair)
+    assert calls == [(name, threading.get_ident())
+                     for name in (a, a + "+delay10ms", b, b + "+delay10ms")]
+
+
+def test_run_suite_lists_a_raising_delayed_rerun(tmp_path, monkeypatch):
+    pair = _short_pendulum_pair()
+    name = pair[0].name
+    _record_runs(monkeypatch, fail_on={name + "+delay10ms"})
+    result = run_suite(pair, tmp_path)
+    assert result.failures == {name + "+delay10ms": "RuntimeError: boom"}
+    assert set(result.runs) == {sc.name for sc in pair}
+    assert (tmp_path / f"{name}.csv").exists()
+    matrix = result.matrices["pendulum"]
+    assert matrix.verdict("DelayTolerant", pair[0].controller[0]) is None    # n/a
+    assert matrix.verdict("DelayTolerant", pair[1].controller[0]) is not None
+
+
+@pytest.mark.parametrize("case", ["duplicate name", "duplicate seat", "parallelism 0"])
+def test_a_bad_suite_fails_before_any_run(tmp_path, monkeypatch, case):
+    calls = _record_runs(monkeypatch)
+    fig1 = _short_pendulum_pair()[0]
+    twin = dataclasses.replace(fig1, name="twin")
+    suite, parallelism, message = {
+        "duplicate name": ([fig1, fig1], 1, "duplicate scenario names"),
+        "duplicate seat": ([fig1, twin], 1, f"duplicate controller '{fig1.controller[0]}'"),
+        "parallelism 0": ([fig1], 0, "parallelism must be >= 1"),
+    }[case]
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=message):
+        run_suite(suite, out, parallelism=parallelism)
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("controller", [
+    # one observer-free node among classical ones used to label the whole
+    # column observer-free, with node 0's lambda as its input bound
+    [{"name": "observer-free", "lambda": 5.0}] + [{"name": "classical", "k": 50.0}] * 4,
+    # settings that differ only in the sign of a zero are two settings
+    [{"name": "adaptive", "gamma": 0.0}] + [{"name": "adaptive", "gamma": -0.0}] * 4,
+], ids=["mixed laws", "signed zero"])
+def test_matrix_member_runs_one_controller_setting(tmp_path, controller):
+    by_name = _suite_by_name()
+    raw = by_name["fig4_network5_observer_free"].to_dict()
+    raw["sim"]["t_final"] = 0.2
+    raw["controller"] = controller
+    mixed = validate(raw)
+    classical = dataclasses.replace(by_name["fig4_network5_classical"], sim=mixed.sim)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="more than one controller setting"):
+        run_suite([mixed, classical], out)
+    assert not out.exists()
 
 
 def test_run_suite_collects_failures(tmp_path):
