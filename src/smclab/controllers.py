@@ -329,23 +329,30 @@ class Controller:
         return out
 
 
+def node_groups(names, params) -> dict:
+    """Which nodes share a law: ``(law, repr(params)) -> node indices``, in
+    node order.  repr tells -0.0 from 0.0, which == does not."""
+    groups = {}
+    for i, key in enumerate(zip(names, map(repr, params))):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def node_laws(names, params) -> Callable:
     """One control step over a run's nodes, ``(xs, vs, gs, dt) -> (u, alpha,
     beta)``, per-node lists in and out; node i runs law ``names[i]`` with
     ``params[i]``.
 
-    Nodes are grouped by (law, params) once, and each step calls every
+    Nodes are grouped by :func:`node_groups` once, and each step calls every
     group's list form once with the group's run state.  One group spanning
     every node gets the lists as they are.  Nothing is checked per step:
     the simulator checks the state after every step, and a plant rejects
     ``|g| < G_MIN`` when it is built.
     """
-    groups = {}
-    for i, (name, p) in enumerate(zip(names, params)):
-        # repr tells -0.0 from 0.0, which == does not
-        groups.setdefault((name, repr(p)), [*_bind(name, p), []])[3].append(i)
-    parts = [[rows, p, None if st is None else [st] * len(nodes), nodes]
-             for rows, p, st, nodes in groups.values()]
+    parts = []
+    for (name, _), nodes in node_groups(names, params).items():
+        rows, p, st = _bind(name, params[nodes[0]])
+        parts.append([rows, p, None if st is None else [st] * len(nodes), nodes])
     n = len(names)
 
     def step(xs, vs, gs, dt):

@@ -73,16 +73,14 @@ class Scenario:
         return plants.make_plant(self.plant, self.plant_params)
 
     def to_dict(self) -> dict:
-        ctrl_entries = [
-            _params_to_dict(name, params)
-            for name, params in zip(self.controller, self.controller_params)
-        ]
-        homogeneous = all(entry == ctrl_entries[0] for entry in ctrl_entries)
+        names, params = self.controller, self.controller_params
+        ctrl_entries = [_params_to_dict(n, p) for n, p in zip(names, params)]
+        one_setting = len(controllers.node_groups(names, params)) == 1
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "plant": {"name": self.plant, **dataclasses.asdict(self.plant_params)},
-            "controller": ctrl_entries[0] if homogeneous else ctrl_entries,
+            "controller": ctrl_entries[0] if one_setting else ctrl_entries,
             "x0": list(self.x0),
             "sim": dataclasses.asdict(self.sim),
             "noise": dataclasses.asdict(self.noise),
@@ -327,86 +325,50 @@ def validate(raw) -> Scenario:
     )
 
 
-def _network_x0(n: int = 5, seed: int = 42) -> tuple[float, ...]:
-    """Initial node angles drawn once, uniform on [-0.3, 0.3], zero rates."""
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(-0.3, 0.3, n)
-    x0 = np.zeros(2 * n)
-    x0[0::2] = angles
-    return tuple(float(v) for v in x0)
-
-
-def _default_controller(name: str, lam: float):
-    if name == "observer-free":
-        return controllers.ObserverFreeParams(k1=1.0, lam=lam)
-    return controllers.param_type(name)()
+def _network_x0() -> list[float]:
+    """Five node angles drawn once (seed 42), uniform on [-0.3, 0.3],
+    interleaved with zero rates."""
+    angles = np.random.default_rng(42).uniform(-0.3, 0.3, 5).tolist()
+    return [v for angle in angles for v in (angle, 0.0)]
 
 
 def builtin_suite() -> list[Scenario]:
     """The shipped benchmark: four plants under four controllers, a
-    robustness trio on the Van der Pol plant, and one input-delay probe."""
-    suite: list[Scenario] = []
+    robustness trio on the Van der Pol plant, and one input-delay probe,
+    written as scenario documents and checked by :func:`validate`."""
+    def observer_free(lam):
+        return {"name": "observer-free", "k1": 1.0, "lambda": lam}
+
     comparisons = (
-        ("fig1", "pendulum", plants.PendulumParams(), (0.5, 0.0), 5.0),
-        ("fig2", "vdp", plants.VanDerPolParams(), (2.0, 0.0), 3.0),
-        ("fig3", "duffing", plants.DuffingParams(), (1.5, 0.0), 3.0),
-        ("fig4", "network5", plants.NetworkParams(), _network_x0(), 5.0),
+        ("fig1", "pendulum", [0.5, 0.0], 5.0),
+        ("fig2", "vdp", [2.0, 0.0], 3.0),
+        ("fig3", "duffing", [1.5, 0.0], 3.0),
+        ("fig4", "network5", _network_x0(), 5.0),
     )
-    for fig, plant_name, plant_params, x0, lam in comparisons:
-        n = plants.node_count(plant_name, plant_params)
-        for ctrl in metrics.CONTROLLER_ORDER:
-            params = [_default_controller(ctrl, lam) for _ in range(n)]
-            suite.append(
-                Scenario(
-                    name=f"{fig}_{plant_name}_{ctrl.replace('-', '_')}",
-                    plant=plant_name,
-                    plant_params=plant_params,
-                    controller=(ctrl,) * n,
-                    controller_params=tuple(params),
-                    x0=x0,
-                    sim=sim.SimConfig(),
-                    matrix_group=plant_name,
-                )
-            )
-
-    robustness = (
-        ("fig5_vdp_nominal", sim.NoiseConfig(), sim.DisturbanceSpec()),
-        ("fig6_vdp_noise", sim.NoiseConfig(std_x=0.01, std_v=0.01), sim.DisturbanceSpec()),
-        (
-            "fig7_vdp_disturbance",
-            sim.NoiseConfig(),
-            sim.DisturbanceSpec(kind="sinusoid", amplitude=0.2, angular_frequency=5.0),
-        ),
-    )
-    for name, noise, dist in robustness:
-        suite.append(
-            Scenario(
-                name=name,
-                plant="vdp",
-                plant_params=plants.VanDerPolParams(),
-                controller=("observer-free",),
-                controller_params=(controllers.ObserverFreeParams(k1=1.0, lam=3.0),),
-                x0=(2.0, 0.0),
-                sim=sim.SimConfig(),
-                noise=noise,
-                disturbance=dist,
-                views=("state", "control"),
-            )
-        )
-
-    suite.append(
-        Scenario(
-            name="delay_probe_pendulum_observer_free",
-            plant="pendulum",
-            plant_params=plants.PendulumParams(),
-            controller=("observer-free",),
-            controller_params=(controllers.ObserverFreeParams(k1=1.0, lam=5.0),),
-            x0=(0.5, 0.0),
-            sim=sim.SimConfig(),
-            delay=sim.DelaySpec(tau=DELAY_PROBE_TAU),
-        )
-    )
-    return suite
+    # one controller entry per node, so every node gets its own parameters
+    docs = [
+        {
+            "name": f"{fig}_{plant}_{law.replace('-', '_')}",
+            "plant": {"name": plant},
+            "controller": [observer_free(lam) if law == "observer-free"
+                           else {"name": law}] * (len(x0) // 2),
+            "x0": x0,
+            "matrix_group": plant,
+        }
+        for fig, plant, x0, lam in comparisons for law in metrics.CONTROLLER_ORDER
+    ]
+    vdp = {"plant": {"name": "vdp"}, "controller": observer_free(3.0),
+           "x0": [2.0, 0.0], "views": ["state", "control"]}
+    docs += [
+        {"name": "fig5_vdp_nominal", **vdp},
+        {"name": "fig6_vdp_noise", **vdp, "noise": {"std_x": 0.01, "std_v": 0.01}},
+        {"name": "fig7_vdp_disturbance", **vdp, "disturbance": {
+            "kind": "sinusoid", "amplitude": 0.2, "angular_frequency": 5.0}},
+        {"name": "delay_probe_pendulum_observer_free", "plant": {"name": "pendulum"},
+         "controller": observer_free(5.0), "x0": [0.5, 0.0],
+         "delay": {"tau": DELAY_PROBE_TAU}},
+    ]
+    return [validate(doc) for doc in docs]
 
 
 def run_key(sc: Scenario) -> str:
@@ -415,15 +377,6 @@ def run_key(sc: Scenario) -> str:
         sc.plant, sc.plant_params, sc.x0, sc.sim, sc.noise, sc.disturbance,
         sc.delay, sc.estimate_velocity, sc.velocity_filter_cutoff_hz,
     ))
-
-
-def _delayed_variant(sc: Scenario) -> Scenario:
-    return dataclasses.replace(
-        sc,
-        name=sc.name + "+delay10ms",
-        delay=sim.DelaySpec(tau=DELAY_PROBE_TAU),
-        matrix_group="",
-    )
 
 
 def run(sc: Scenario):
@@ -471,10 +424,10 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     thread (the step loop holds the interpreter lock), so output is
     identical at every ``parallelism``.  A run that raises, diverges or
     overflows (:func:`failure`) is listed in ``failures`` and the suite
-    goes on.  Each ``matrix_group`` member is rerun right after its own run
-    with a 10 ms input delay for the DelayTolerant row; only the rerun's
-    report is kept, and a rerun that raises is listed as
-    ``<name>+delay10ms``.  Files are written in name order.
+    goes on.  Each ``matrix_group`` member whose run did not raise is
+    rerun right after it with a 10 ms input delay for the DelayTolerant
+    row; only the rerun's report is kept, and a rerun that raises is listed
+    as ``<name>+delay10ms``.  Files are written in name order.
     """
     suite = list(suite)
     names = [sc.name for sc in suite]
@@ -487,8 +440,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         if not sc.matrix_group:
             continue
         group, law = sc.matrix_group, sc.controller[0]
-        # repr tells -0.0 from 0.0, as controllers.node_laws does
-        if len({(n, repr(p)) for n, p in zip(sc.controller, sc.controller_params)}) > 1:
+        if len(controllers.node_groups(sc.controller, sc.controller_params)) > 1:
             raise ConfigError(
                 f"matrix group '{group}' member '{sc.name}' runs more than one "
                 "controller setting across its nodes"
@@ -505,14 +457,16 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     for sc in suite:
         try:
             ts, report, why = run(sc)
-            runs[sc.name] = (ts, report)
         except Exception as exc:  # keep other runs alive, caller sees exit 4
-            report, why = None, f"{type(exc).__name__}: {exc}"
+            failures[sc.name] = f"{type(exc).__name__}: {exc}"
+            continue
+        runs[sc.name] = (ts, report)
         if why is not None:
             failures[sc.name] = why
         if not sc.matrix_group:
             continue
-        rerun = _delayed_variant(sc)
+        rerun = dataclasses.replace(sc, name=sc.name + "+delay10ms", matrix_group="",
+                                    delay=sim.DelaySpec(tau=DELAY_PROBE_TAU))
         try:
             delayed = run(rerun)[1]
         except Exception as exc:

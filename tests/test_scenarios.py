@@ -1,5 +1,6 @@
 """Scenario schema, validation, the built-in suite, and the batch driver."""
 import dataclasses
+import hashlib
 import json
 import threading
 import tracemalloc
@@ -197,6 +198,19 @@ def test_unknown_controller_parameter():
             validate(raw)
 
 
+def test_a_document_needs_only_name_plant_controller_and_x0():
+    raw = {"name": "tiny", "plant": {"name": "pendulum"},
+           "controller": {"name": "classical"}, "x0": [0.5, 0.0]}
+    sc = validate(raw)
+    assert sc.sim == sim.SimConfig()
+    assert sc.noise == sim.NoiseConfig() and sc.delay == sim.DelaySpec()
+    for key in raw:
+        with pytest.raises(ScenarioValidationError) as err:
+            validate({k: v for k, v in raw.items() if k != key})
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{key}: required"), err.value.errors
+
+
 def test_x0_length_checked_against_plant():
     raw = _fig1_raw()
     raw["x0"] = [0.5, 0.0, 0.1]
@@ -209,6 +223,22 @@ def test_x0_length_checked_against_plant():
 def test_every_builtin_round_trips():
     for sc in builtin_suite():
         assert validate(sc.to_dict()) == sc
+
+
+def test_settings_that_differ_in_the_sign_of_a_zero_round_trip_per_node():
+    # to_dict writes one controller object only for one (law, repr(params))
+    raw = {
+        "name": "signed_zero",
+        "plant": {"name": "network5", "n": 2},
+        "controller": [{"name": "adaptive", "k0": 0.0}, {"name": "adaptive", "k0": -0.0}],
+        "x0": [0.1, 0.0, 0.2, 0.0],
+        "sim": {"t_final": 0.01},
+    }
+    sc = validate(raw)
+    again = validate(sc.to_dict())
+    assert repr(again) == repr(sc)
+    assert sim.simulate_run(again).table.tobytes() == sim.simulate_run(sc).table.tobytes()
+    assert isinstance(sc.to_dict()["controller"], list)
 
 
 def test_json_round_trip_is_loss_free():
@@ -293,6 +323,13 @@ def test_builtin_suite_composition():
         assert sc.sim.dt == 1e-3
         assert sc.sim.t_final == 10.0
         assert sc.sim.seed == 42
+
+
+def test_builtin_suite_definition_is_pinned():
+    # perfbench swaps builtin_suite out, so its metrics cannot see a change here
+    text = "".join(repr(sc) + "\n" for sc in builtin_suite())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f34a70086e6c9cb5af207492fd69c32da68d2202bcec319ac7e7de6919839f4b"
 
 
 def test_builtin_suite_all_validate():
@@ -437,6 +474,17 @@ def test_run_suite_lists_a_raising_delayed_rerun(tmp_path, monkeypatch):
     matrix = result.matrices["pendulum"]
     assert matrix.verdict("DelayTolerant", pair[0].controller[0]) is None    # n/a
     assert matrix.verdict("DelayTolerant", pair[1].controller[0]) is not None
+
+
+def test_run_suite_skips_the_rerun_of_a_member_whose_run_raised(tmp_path, monkeypatch):
+    # a member without a report takes no matrix seat, so nothing reads its rerun
+    pair = _short_pendulum_pair()
+    a, b = (sc.name for sc in pair)
+    calls = _record_runs(monkeypatch, fail_on={a})
+    result = run_suite(pair, tmp_path)
+    assert [name for name, _ in calls] == [a, b, b + "+delay10ms"]
+    assert result.failures == {a: "RuntimeError: boom"}
+    assert set(result.runs) == {b} and result.matrices == {}
 
 
 @pytest.mark.parametrize("case", ["duplicate name", "duplicate seat", "parallelism 0"])
