@@ -220,13 +220,11 @@ def _node_traces(ts: sim.TimeSeries, base: str):
     ]
 
 
-def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path,
-                 skip_unplottable: bool = False) -> list[Path]:
+def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path) -> list[Path]:
     """Write one SVG per view in ``views`` (see ``scenarios.VIEWS``).
 
-    With ``skip_unplottable``, a view whose values a float cannot span is
-    left out with one line on stderr instead of raising SmcLabError.
-    """
+    A view whose values a float cannot span, which only a failed run
+    records, is left out with one line on stderr."""
     written = []
     for view, (suffix, column, ylabel) in scenarios.VIEWS.items():
         if view in views:
@@ -234,8 +232,6 @@ def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path,
             try:
                 svg = render_line_svg(_node_traces(ts, column), title=name, ylabel=ylabel)
             except SmcLabError as exc:
-                if not skip_unplottable:
-                    raise
                 print(f"skipped {path}: {exc}", file=sys.stderr)
                 continue
             path.write_text(svg)
@@ -246,13 +242,7 @@ def _write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path,
 def _load_raw_scenario(ref: str) -> dict:
     path = Path(ref)
     if path.exists():
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SmcLabError(f"{path}: not valid JSON: {exc}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SmcLabError(f"{path}: cannot read: {exc}") from None
+        return scenarios.read_document(path)
     for sc in scenarios.builtin_suite():
         if sc.name == ref:
             return sc.to_dict()
@@ -284,9 +274,7 @@ def cmd_run(args) -> int:
         written.append(metrics_path)
 
     if not args.no_svg:
-        # a failed run exits 3 even when a figure cannot be drawn
-        written += _write_views(ts, scenario.name, scenario.views, out_dir,
-                                skip_unplottable=why is not None)
+        written += _write_views(ts, scenario.name, scenario.views, out_dir)
 
     for path in written:
         print(f"wrote {path}")

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controllers, metrics, plants, sim
-from .errors import ConfigError, ScenarioValidationError
+from .errors import ConfigError, ScenarioValidationError, SmcLabError
 
 SCHEMA_VERSION = 1
 DELAY_PROBE_TAU = 0.01
@@ -105,10 +105,19 @@ def _params_to_dict(name: str, params) -> dict:
     return entry
 
 
+def read_document(path):
+    """The JSON document in the file at ``path``, or a one-line SmcLabError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise SmcLabError(f"{path}: not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SmcLabError(f"{path}: cannot read: {exc}") from None
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    return validate(raw)
+    return validate(read_document(path))
 
 
 def _float(val, path: str, errors: list) -> float | None:
@@ -132,6 +141,9 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
         name = (aliases or {}).get(key, key)
         if name not in valid:
             errors.append(f"{path}.{key}: unknown parameter")
+        # a field whose default is a params object takes a JSON object
+        elif dataclasses.is_dataclass(valid[name].default):
+            kwargs[name] = _build(type(valid[name].default), val, f"{path}.{key}", errors)
         elif isinstance(val, bool):
             errors.append(f"{path}.{key}: expected a number")
         # annotations are strings under postponed evaluation
@@ -144,8 +156,6 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
             kwargs[name] = _float(val, f"{path}.{key}", errors)
         elif isinstance(val, str):
             kwargs[name] = val
-        elif isinstance(val, dict) and name == "node":
-            kwargs[name] = _build(plants.PendulumParams, val, f"{path}.node", errors)
         else:
             errors.append(f"{path}.{key}: unsupported value type")
     if len(errors) > n_before:
@@ -294,7 +304,7 @@ def validate(raw) -> Scenario:
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
-            or any(v not in VIEWS for v in views_raw):
+            or any(not isinstance(v, str) or v not in VIEWS for v in views_raw):
         errors.append(f"views: expected a non-empty list drawn from {tuple(VIEWS)}")
         views_raw = ["state"]
 
@@ -345,13 +355,11 @@ def builtin_suite() -> list[Scenario]:
         ("fig3", "duffing", [1.5, 0.0], 3.0),
         ("fig4", "network5", _network_x0(), 5.0),
     )
-    # one controller entry per node, so every node gets its own parameters
     docs = [
         {
             "name": f"{fig}_{plant}_{law.replace('-', '_')}",
             "plant": {"name": plant},
-            "controller": [observer_free(lam) if law == "observer-free"
-                           else {"name": law}] * (len(x0) // 2),
+            "controller": observer_free(lam) if law == "observer-free" else {"name": law},
             "x0": x0,
             "matrix_group": plant,
         }
@@ -419,15 +427,16 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
 
     Before ``out_dir`` is made or any run starts, names must be unique,
     ``parallelism`` must be >= 1, and each ``matrix_group`` member must run
-    one (law, params) pair on every node and be its group's only member
-    with that law.  Runs go one at a time, in suite order, in the calling
-    thread (the step loop holds the interpreter lock), so output is
-    identical at every ``parallelism``.  A run that raises, diverges or
-    overflows (:func:`failure`) is listed in ``failures`` and the suite
-    goes on.  Each ``matrix_group`` member whose run did not raise is
-    rerun right after it with a 10 ms input delay for the DelayTolerant
-    row; only the rerun's report is kept, and a rerun that raises is listed
-    as ``<name>+delay10ms``.  Files are written in name order.
+    one (law, params) pair on every node, be its group's only member with
+    that law and share its group's experiment (:func:`run_key`).  Runs go
+    one at a time, in suite order, in the calling thread (the step loop
+    holds the interpreter lock), so output is identical at every
+    ``parallelism``.  Each run's CSV is written right after it.  A run that
+    raises, diverges or overflows (:func:`failure`) is listed in
+    ``failures`` and the suite goes on.  Each ``matrix_group`` member whose
+    run did not raise is rerun right after it with a 10 ms input delay for
+    the DelayTolerant row; only the rerun's report is kept, and a rerun
+    that raises is listed as ``<name>+delay10ms``.
     """
     suite = list(suite)
     names = [sc.name for sc in suite]
@@ -436,6 +445,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
     seats = set()
+    first_member = {}   # group -> its first member in suite order
     for sc in suite:
         if not sc.matrix_group:
             continue
@@ -448,6 +458,10 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         if (group, law) in seats:
             raise ConfigError(f"matrix group '{group}' has duplicate controller '{law}'")
         seats.add((group, law))
+        first = first_member.setdefault(group, sc)
+        if run_key(first) != run_key(sc):
+            raise ConfigError(f"matrix group '{group}' members '{first.name}' and "
+                              f"'{sc.name}' run different experiments")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -461,6 +475,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
             failures[sc.name] = f"{type(exc).__name__}: {exc}"
             continue
         runs[sc.name] = (ts, report)
+        ts.write_csv(out_dir / f"{sc.name}.csv")
         if why is not None:
             failures[sc.name] = why
         if not sc.matrix_group:
@@ -475,9 +490,6 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
             law = sc.controller[0]
             bound = controllers.declared_input_bound(law, sc.controller_params[0])
             groups.setdefault(sc.matrix_group, {})[law] = (report, delayed, bound)
-
-    for name in sorted(runs):
-        runs[name][0].write_csv(out_dir / f"{name}.csv")
 
     with open(out_dir / "summary.csv", "w", newline="") as f:
         f.write("name," + metrics.MetricsReport.csv_header() + "\n")

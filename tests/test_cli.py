@@ -201,6 +201,18 @@ def test_run_diverging_beyond_a_float_span_skips_its_figure(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["fig4_network5_observer_free.csv"]
 
 
+@pytest.mark.parametrize("scenario,override,message", [
+    (FIG1, "views=[[1]]", "views: expected a non-empty list drawn from"),
+    ("fig4_network5_observer_free", "plant.node=1", "plant.node: expected an object"),
+])
+def test_run_json_value_of_the_wrong_shape_is_config_error(tmp_path, capsys, scenario,
+                                                           override, message):
+    code = main(["run", scenario, "--out-dir", str(tmp_path), "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {message}") and err.count("\n") == 1, err
+
+
 def test_svg_escapes_title_and_labels_as_xml_sax():
     # the bytes xml.sax.saxutils.escape gave: &, < and > replaced, quotes kept
     text = """a&b<c>"d'e"""
@@ -484,6 +496,25 @@ def test_suite_reports_partial_failures(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "failed: blowup: diverged at t=1.087 s" in captured.err
     assert "ran 1 scenarios" in captured.out
+
+
+def test_suite_skips_a_figure_it_cannot_draw_and_lists_the_run(tmp_path, monkeypatch, capsys):
+    # as in smclab run: x spans 2e308, the figure is skipped, the failure decides the exit
+    raw = {sc.name: sc for sc in scenarios.builtin_suite()}[
+        "fig4_network5_observer_free"].to_dict()
+    raw.update(x0=[1e308, 0, -1e308, 0, 0, 0, 0, 0, 0, 0], matrix_group="")
+    raw["sim"]["t_final"] = 0.01
+    monkeypatch.setattr(scenarios, "builtin_suite", lambda: [scenarios.validate(raw)])
+    out = tmp_path / "out"
+    code = main(["suite", "--out-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"skipped {out / 'fig4_network5_observer_free.svg'}: the plotted values span "
+        "more than a float can hold\n"
+        "failed: fig4_network5_observer_free: diverged at t=0.001 s\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fig4_network5_observer_free.csv", "summary.csv"]
 
 
 def test_suite_out_dir_naming_a_file_is_config_error(tmp_path, capsys):

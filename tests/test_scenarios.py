@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclab import controllers, plants, scenarios, sim
-from smclab.errors import ConfigError, ScenarioValidationError
+from smclab.errors import ConfigError, ScenarioValidationError, SmcLabError
 from smclab.scenarios import (
     builtin_suite,
     load_scenario,
@@ -266,6 +268,56 @@ def test_load_scenario_from_file(tmp_path):
     assert load_scenario(path) == _suite_by_name()["fig1_pendulum_observer_free"]
 
 
+def test_load_scenario_reports_an_unreadable_file_in_one_line(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path, message in ((bad, "not valid JSON"), (tmp_path / "missing.json", "cannot read")):
+        with pytest.raises(SmcLabError, match=message) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
+# any JSON value json.loads can give: ints beyond a float, nan and +-inf too
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats()
+    | st.integers() | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_paths(value, path=()):
+    """The key path of ``value`` and of everything nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _key_paths(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_accepts_or_rejects_every_json_document(data):
+    by_name = _suite_by_name()
+    one_node = by_name["fig1_pendulum_observer_free"].to_dict()
+    network = by_name["fig4_network5_observer_free"].to_dict()
+    network["controller"] = [{"name": name} for name in controllers.CONTROLLER_NAMES]
+    doc = data.draw(st.sampled_from([one_node, network]))
+    path = data.draw(st.sampled_from(list(_key_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        assert isinstance(validate(doc), scenarios.Scenario)
+    except ScenarioValidationError:
+        pass
+
+
 def test_run_key_tracks_physics_only():
     a = _suite_by_name()["fig1_pendulum_observer_free"]
     raw = a.to_dict()
@@ -343,8 +395,14 @@ def test_network_scenario_is_decentralized():
     assert sc.controller == ("observer-free",) * 5
     params = sc.controller_params
     assert len(params) == 5
-    assert len({id(p) for p in params}) == 5  # one instance per node
     assert all(p.lam == 5.0 for p in params)
+    # each node's input reads only that node's measured state
+    xs, vs, gs = [0.1, -0.2, 0.05, 0.3, -0.1], [0.0] * 5, list(sc.make_plant().g)
+    u0 = controllers.node_laws(sc.controller, params)(xs, vs, gs, 1e-3)[0]
+    for i in range(5):
+        moved = [x + 0.1 * (j == i) for j, x in enumerate(xs)]
+        u = controllers.node_laws(sc.controller, params)(moved, vs, gs, 1e-3)[0]
+        assert [j for j in range(5) if u[j] != u0[j]] == [i]
 
 
 def test_network_initial_angles_are_seeded():
@@ -487,15 +545,19 @@ def test_run_suite_skips_the_rerun_of_a_member_whose_run_raised(tmp_path, monkey
     assert set(result.runs) == {b} and result.matrices == {}
 
 
-@pytest.mark.parametrize("case", ["duplicate name", "duplicate seat", "parallelism 0"])
+@pytest.mark.parametrize("case", ["duplicate name", "duplicate seat", "parallelism 0",
+                                  "two experiments"])
 def test_a_bad_suite_fails_before_any_run(tmp_path, monkeypatch, case):
     calls = _record_runs(monkeypatch)
-    fig1 = _short_pendulum_pair()[0]
+    fig1, other = _short_pendulum_pair()
     twin = dataclasses.replace(fig1, name="twin")
+    moved = dataclasses.replace(other, x0=(0.4, 0.0))
     suite, parallelism, message = {
         "duplicate name": ([fig1, fig1], 1, "duplicate scenario names"),
         "duplicate seat": ([fig1, twin], 1, f"duplicate controller '{fig1.controller[0]}'"),
         "parallelism 0": ([fig1], 0, "parallelism must be >= 1"),
+        "two experiments": ([fig1, moved], 1, f"matrix group 'pendulum' members "
+                            f"'{fig1.name}' and '{moved.name}' run different experiments"),
     }[case]
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=message):
