@@ -33,14 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import controllers, metrics, plants, sim
+from . import controllers, figures, metrics, plants, sim
 from .errors import ConfigError, ScenarioValidationError, SmcLabError
 
 SCHEMA_VERSION = 1
 DELAY_PROBE_TAU = 0.01
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-# view name -> (SVG file suffix, plotted per-node column, y axis label)
-VIEWS = {"state": (".svg", "x", "position"), "control": (".u.svg", "u", "control")}
 # JSON key aliases for reserved or awkward Python names
 _ALIASES = {"lambda": "lam"}
 _ALIASES_BACK = {"lam": "lambda"}
@@ -304,8 +302,8 @@ def validate(raw) -> Scenario:
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
-            or any(not isinstance(v, str) or v not in VIEWS for v in views_raw):
-        errors.append(f"views: expected a non-empty list drawn from {tuple(VIEWS)}")
+            or any(not isinstance(v, str) or v not in figures.VIEWS for v in views_raw):
+        errors.append(f"views: expected a non-empty list drawn from {tuple(figures.VIEWS)}")
         views_raw = ["state"]
 
     group = raw.get("matrix_group", "")
@@ -391,15 +389,26 @@ def run(sc: Scenario):
     """Simulate one scenario: (written series, report, :func:`failure`).
 
     The report and the failure read the full-rate series; the written
-    series, for the CSV and SVG writers, holds every
-    ``sim.record_stride``-th row, copied at a stride above 1 so that the
-    full-rate table is freed on return.  The report is None for a series
-    too short to report on."""
+    series, for the CSV and SVG writers, is a view of every
+    ``sim.record_stride``-th row of it, so the full-rate table lives as
+    long as the written series.  The report is None for a series too short
+    to report on."""
     ts = sim.simulate_run(sc)
     report = None if ts.n_samples < 2 else metrics.compute_report(ts, run_key=run_key(sc))
-    table = np.ascontiguousarray(ts.table[::sc.sim.record_stride])
-    written = sim.TimeSeries(table, ts.diverged_at)
+    written = sim.TimeSeries(ts.table[::sc.sim.record_stride], ts.diverged_at)
     return written, report, failure(ts, report)
+
+
+def write_run(name: str, ts: sim.TimeSeries, views, out_dir: Path, report=None) -> list[Path]:
+    """Write a run's ``<name>.csv``, then ``<name>.metrics.txt`` if a
+    ``report`` is given, then its figures (:func:`figures.write_views`);
+    return the paths written."""
+    written = [out_dir / f"{name}.csv"]
+    ts.write_csv(written[0])
+    if report is not None:
+        written.append(out_dir / f"{name}.metrics.txt")
+        written[-1].write_text(report.to_kv_text())
+    return written + figures.write_views(ts, name, views, out_dir)
 
 
 def failure(ts: sim.TimeSeries, report) -> str | None:
@@ -416,14 +425,14 @@ def failure(ts: sim.TimeSeries, report) -> str | None:
 
 @dataclass
 class SuiteResult:
-    runs: dict                 # name -> (written TimeSeries, MetricsReport or None)
+    runs: dict                 # name -> MetricsReport, or None for a too short run
     matrices: dict             # matrix_group -> ComparisonMatrix
     failures: dict             # name -> message
 
 
 def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
-    """Check the suite, then run it through :func:`run`, write CSV
-    artifacts and build comparison matrices.
+    """Check the suite, then run it through :func:`run`, write each run's
+    CSV and figures and build comparison matrices.
 
     Before ``out_dir`` is made or any run starts, names must be unique,
     ``parallelism`` must be >= 1, and each ``matrix_group`` member must run
@@ -431,12 +440,13 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     that law and share its group's experiment (:func:`run_key`).  Runs go
     one at a time, in suite order, in the calling thread (the step loop
     holds the interpreter lock), so output is identical at every
-    ``parallelism``.  Each run's CSV is written right after it.  A run that
-    raises, diverges or overflows (:func:`failure`) is listed in
-    ``failures`` and the suite goes on.  Each ``matrix_group`` member whose
-    run did not raise is rerun right after it with a 10 ms input delay for
-    the DelayTolerant row; only the rerun's report is kept, and a rerun
-    that raises is listed as ``<name>+delay10ms``.
+    ``parallelism``.  Each run's CSV and figures are written right after it
+    (:func:`write_run`) and only its report is kept, so no table outlives
+    its run.  A run that raises, diverges or overflows (:func:`failure`) is
+    listed in ``failures`` and the suite goes on.  Each ``matrix_group``
+    member whose run did not raise is rerun right after it with a 10 ms
+    input delay for the DelayTolerant row; only the rerun's report is kept,
+    and a rerun that raises is listed as ``<name>+delay10ms``.
     """
     suite = list(suite)
     names = [sc.name for sc in suite]
@@ -474,8 +484,9 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
         except Exception as exc:  # keep other runs alive, caller sees exit 4
             failures[sc.name] = f"{type(exc).__name__}: {exc}"
             continue
-        runs[sc.name] = (ts, report)
-        ts.write_csv(out_dir / f"{sc.name}.csv")
+        runs[sc.name] = report
+        write_run(sc.name, ts, sc.views, out_dir)
+        del ts      # freed before the next run or the delayed rerun starts
         if why is not None:
             failures[sc.name] = why
         if not sc.matrix_group:
@@ -493,8 +504,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
 
     with open(out_dir / "summary.csv", "w", newline="") as f:
         f.write("name," + metrics.MetricsReport.csv_header() + "\n")
-        for name in sorted(runs):
-            report = runs[name][1]
+        for name, report in sorted(runs.items()):
             if report is not None:
                 f.write(f"{name},{report.csv_row()}\n")
 

@@ -40,15 +40,20 @@ def test_01_pendulum_stabilization_speed():
     )
 
 
+def _written(out, name: str) -> sim.TimeSeries:
+    return sim.TimeSeries.read_csv(out / f"{name}.csv")
+
+
 def test_02_input_bound_never_violated(suite_serial):
-    result, _, _ = suite_serial
+    result, out, _ = suite_serial
     by_name = {sc.name: sc for sc in scenarios.builtin_suite()}
     checked = 0
     worst_margin = -math.inf
-    for name, (ts, _report) in result.runs.items():
+    for name in result.runs:
         sc = by_name[name]
         if set(sc.controller) != {"observer-free"}:
             continue
+        ts = _written(out, name)
         lam = sc.controller_params[0].lam
         worst_margin = max(worst_margin, float(np.max(np.abs(ts.u))) - lam)
         checked += 1
@@ -60,8 +65,8 @@ def test_02_input_bound_never_violated(suite_serial):
 
 def test_03_chattering_eliminated(suite_serial):
     result, _, _ = suite_serial
-    smooth = result.runs["fig1_pendulum_observer_free"][1].chattering_index
-    relay = result.runs["fig1_pendulum_classical"][1].chattering_index
+    smooth = result.runs["fig1_pendulum_observer_free"].chattering_index
+    relay = result.runs["fig1_pendulum_classical"].chattering_index
     ratio = smooth / relay
     _check(3, "chattering elimination", ratio < 0.05, f"ratio = {ratio:.3g}")
 
@@ -87,8 +92,9 @@ def test_04_surface_identity_and_sign():
 
 
 def test_05_lyapunov_descent(suite_serial):
-    result, _, _ = suite_serial
-    ts, report = result.runs["fig1_pendulum_observer_free"]
+    result, out, _ = suite_serial
+    ts = _written(out, "fig1_pendulum_observer_free")
+    report = result.runs["fig1_pendulum_observer_free"]
     v_final = float(ts.V[-1, 0])
     frac = report.lyap_violation_count / (ts.n_samples - 1)
     _check(
@@ -98,8 +104,8 @@ def test_05_lyapunov_descent(suite_serial):
 
 
 def test_06_noise_robustness(suite_serial):
-    result, _, _ = suite_serial
-    ts, _report = result.runs["fig6_vdp_noise"]
+    _, out, _ = suite_serial
+    ts = _written(out, "fig6_vdp_noise")
     bounded = bool(np.all(np.isfinite(ts.x))) and not ts.diverged
     worst = float(np.max(np.abs(ts.x[ts.t >= 8.0, 0])))
     _check(
@@ -109,9 +115,9 @@ def test_06_noise_robustness(suite_serial):
 
 
 def test_07_disturbance_rejection(suite_serial):
-    result, _, _ = suite_serial
-    nominal = result.runs["fig5_vdp_nominal"][0]
-    perturbed = result.runs["fig7_vdp_disturbance"][0]
+    _, out, _ = suite_serial
+    nominal = _written(out, "fig5_vdp_nominal")
+    perturbed = _written(out, "fig7_vdp_disturbance")
     sup = float(np.max(np.abs(perturbed.x[:, 0] - nominal.x[:, 0])))
     _check(
         7, "disturbance rejection", sup < 0.1,
@@ -120,8 +126,9 @@ def test_07_disturbance_rejection(suite_serial):
 
 
 def test_08_network_synchronization(suite_serial):
-    result, _, _ = suite_serial
-    ts, report = result.runs["fig4_network5_observer_free"]
+    result, out, _ = suite_serial
+    ts = _written(out, "fig4_network5_observer_free")
+    report = result.runs["fig4_network5_observer_free"]
     mean_final = abs(float(np.mean(ts.x[-1])))
     sync_final = report.sync_error_final
     _check(

@@ -120,6 +120,12 @@ def test_run_directory_is_config_error(tmp_path, capsys):
     assert "cannot read" in _one_line_error(capsys)
 
 
+def test_run_reference_too_long_for_a_file_name_is_config_error(tmp_path, capsys):
+    code = main(["run", "a" * 300, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "neither a readable file nor a built-in" in _one_line_error(capsys)
+
+
 def test_run_non_utf8_file_is_config_error(tmp_path, capsys):
     sc_path = tmp_path / "latin1.json"
     sc_path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
@@ -199,6 +205,14 @@ def test_run_diverging_beyond_a_float_span_skips_its_figure(tmp_path, capsys):
         "run diverged at t=0.001 s, partial output written\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["fig4_network5_observer_free.csv"]
+
+
+def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / f"{FIG1}.svg"
+    blocker.mkdir()
+    code = main(["run", FIG1, "--out-dir", str(tmp_path), "--set", "sim.t_final=0.1"])
+    assert code == 2
+    assert _one_line_error(capsys) == f"error: cannot write {blocker}: Is a directory\n"
 
 
 @pytest.mark.parametrize("scenario,override,message", [
@@ -435,7 +449,7 @@ def test_plot_empty_columns(fig1_csv, capsys):
 
 # ------------------------------------------------------------------ suite
 
-def test_suite_cli_end_to_end(tmp_path, capsys):
+def test_suite_cli_end_to_end(tmp_path, capsys, suite_serial):
     out = tmp_path / "suite"
     code = main(["suite", "--out-dir", str(out), "--parallelism", "4"])
     captured = capsys.readouterr()
@@ -468,6 +482,13 @@ def test_suite_cli_end_to_end(tmp_path, capsys):
     assert not (out / "fig1_pendulum_observer_free.u.svg").exists()
     svgs = sorted(p.name for p in out.glob("*.svg"))
     assert len(svgs) == 23  # 20 state views + 3 control views
+
+    # the command writes what run_suite writes, file for file
+    _, api_out, _ = suite_serial
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in api_out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (api_out / name).read_bytes(), name
 
 
 def test_suite_rerun_is_byte_identical(tmp_path, monkeypatch):
@@ -515,6 +536,17 @@ def test_suite_skips_a_figure_it_cannot_draw_and_lists_the_run(tmp_path, monkeyp
     )
     assert sorted(p.name for p in out.iterdir()) == [
         "fig4_network5_observer_free.csv", "summary.csv"]
+
+
+def test_suite_output_that_cannot_be_written_is_config_error(tmp_path, monkeypatch, capsys):
+    raw = {sc.name: sc for sc in scenarios.builtin_suite()}[FIG1].to_dict()
+    raw["sim"]["t_final"] = 0.1
+    monkeypatch.setattr(scenarios, "builtin_suite", lambda: [scenarios.validate(raw)])
+    blocker = tmp_path / f"{FIG1}.csv"
+    blocker.mkdir()
+    code = main(["suite", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert _one_line_error(capsys) == f"error: cannot write {blocker}: Is a directory\n"
 
 
 def test_suite_out_dir_naming_a_file_is_config_error(tmp_path, capsys):

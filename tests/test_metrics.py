@@ -307,8 +307,8 @@ def test_report_csv_header_is_the_field_order():
 
 def test_pendulum_reports_regression(suite_serial):
     result, _, _ = suite_serial
-    of = result.runs["fig1_pendulum_observer_free"][1]
-    cl = result.runs["fig1_pendulum_classical"][1]
+    of = result.runs["fig1_pendulum_observer_free"]
+    cl = result.runs["fig1_pendulum_classical"]
 
     assert of.settling_time == 3.601
     assert abs(of.chattering_index - 2.310579282751734) < 1e-9
@@ -326,7 +326,7 @@ def test_pendulum_reports_regression(suite_serial):
 
 def test_record_stride_keeps_full_rate_metrics(suite_serial):
     result, _, _ = suite_serial
-    full = result.runs["fig1_pendulum_classical"][1]
+    full = result.runs["fig1_pendulum_classical"]
     raw = {sc.name: sc for sc in scenarios.builtin_suite()}["fig1_pendulum_classical"].to_dict()
     raw["sim"]["record_stride"] = 10
     strided = compute_report(sim.simulate_run(scenarios.validate(raw)))
@@ -400,15 +400,16 @@ def test_record_stride_keeps_divergence_time():
 
 def test_network_report_regression(suite_serial):
     result, _, _ = suite_serial
-    net = result.runs["fig4_network5_observer_free"][1]
+    net = result.runs["fig4_network5_observer_free"]
     assert net.sync_error_final is not None
     assert abs(net.sync_error_final - 7.687003811129052e-07) < 1e-12
     assert net.settling_time is not None
 
 
 def test_compute_report_aggregates_nodes(suite_serial):
-    result, _, _ = suite_serial
-    ts, rep = result.runs["fig4_network5_observer_free"]
+    result, out, _ = suite_serial
+    ts = sim.TimeSeries.read_csv(out / "fig4_network5_observer_free.csv")
+    rep = result.runs["fig4_network5_observer_free"]
     assert rep.control_effort > 0
     # worst node slew, not the mean
     slews = np.abs(np.diff(ts.u, axis=0)) / (ts.t[1] - ts.t[0])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -448,9 +449,13 @@ def test_run_suite_over_pendulum_controllers(tmp_path):
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == [
         "fig1_pendulum_adaptive.csv",
+        "fig1_pendulum_adaptive.svg",
         "fig1_pendulum_classical.csv",
+        "fig1_pendulum_classical.svg",
         "fig1_pendulum_observer_free.csv",
+        "fig1_pendulum_observer_free.svg",
         "fig1_pendulum_super_twisting.csv",
+        "fig1_pendulum_super_twisting.svg",
         "matrix_pendulum.csv",
         "summary.csv",
     ]
@@ -463,7 +468,7 @@ def test_full_suite_outputs(suite_serial):
     assert set(result.matrices) == {"pendulum", "vdp", "duffing", "network5"}
 
     files = sorted(p.name for p in out.iterdir())
-    assert len(files) == 25  # 20 runs + summary + 4 matrices
+    assert len(files) == 48  # 20 runs + 23 figures + summary + 4 matrices
     for sc in builtin_suite():
         assert (out / f"{sc.name}.csv").exists()
 
@@ -484,6 +489,30 @@ def test_suite_output_is_parallelism_independent(suite_serial, suite_parallel):
     assert names1 == names4
     for name in names1:
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
+
+
+def test_run_suite_holds_one_table_at_a_time(tmp_path, monkeypatch):
+    # each run's table is freed once its CSV and figures are written, before
+    # the next run or the delayed rerun starts
+    short = sim.SimConfig(t_final=0.05)
+    suite = [dataclasses.replace(sc, sim=short) for sc in builtin_suite()
+             if sc.matrix_group in ("pendulum", "")][:6]
+    buffers, alive = [], []
+    simulate_run = sim.simulate_run
+
+    def tracked(sc):
+        alive.append(sum(ref() is not None for ref in buffers))
+        ts = simulate_run(sc)
+        root = ts.table
+        while root.base is not None:
+            root = root.base
+        buffers.append(weakref.ref(root))
+        return ts
+
+    monkeypatch.setattr(sim, "simulate_run", tracked)
+    result = run_suite(suite, tmp_path)
+    assert not result.failures and len(buffers) == 4 * 2 + 2
+    assert alive == [0] * len(buffers)
 
 
 def _short_pendulum_pair():
