@@ -105,8 +105,7 @@ def cmd_run(args) -> int:
 
 def cmd_suite(args) -> int:
     if args.parallelism < 1:
-        print("error: --parallelism must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SmcLabError("--parallelism must be >= 1")
     out_dir = _out_dir(args.out_dir)
     _make_dir(out_dir)
     result = scenarios.run_suite(scenarios.builtin_suite(), out_dir,
@@ -127,33 +126,24 @@ def cmd_suite(args) -> int:
 def cmd_plot(args) -> int:
     columns = [c for c in args.columns.split(",") if c]
     if not columns:
-        print("error: --columns lists no column names", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SmcLabError("--columns lists no column names")
     traces = []
-    try:
-        for csv_ref in args.csv:
-            path = Path(csv_ref)
-            ts = sim.TimeSeries.read_csv(path)
-            names = ts.column_names()
-            for column in columns:
-                if column not in names:
-                    print(
-                        f"error: {path} has no column '{column}' "
-                        f"(available: {', '.join(names)})",
-                        file=sys.stderr,
+    for csv_ref in args.csv:
+        path = Path(csv_ref)
+        ts = sim.TimeSeries.read_csv(path)
+        names = ts.column_names()
+        for column in columns:
+            if column not in names:
+                raise SmcLabError(f"{path} has no column '{column}' "
+                                  f"(available: {', '.join(names)})")
+            for name in ("t", column):
+                if not np.isfinite(ts.column(name)).all():
+                    raise SmcLabError(
+                        f"{path}: column '{name}' holds nan or inf values, "
+                        "which cannot be plotted"
                     )
-                    return EXIT_CONFIG
-                for name in ("t", column):
-                    if not np.isfinite(ts.column(name)).all():
-                        raise SmcLabError(
-                            f"{path}: column '{name}' holds nan or inf values, "
-                            "which cannot be plotted"
-                        )
-                label = column if len(args.csv) == 1 else f"{path.stem}:{column}"
-                traces.append((label, ts.t, ts.column(column)))
-    except (OSError, SmcLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            label = column if len(args.csv) == 1 else f"{path.stem}:{column}"
+            traces.append((label, ts.t, ts.column(column)))
 
     out = Path(args.out) if args.out else Path(args.csv[0]).with_suffix(".plot.svg")
     _make_dir(out.parent)

@@ -9,16 +9,16 @@ class InvalidInputError(SmcLabError, ValueError):
     """An operation received arguments outside its documented domain."""
 
 
-class SingularGainError(SmcLabError, ValueError):
-    """Input gain g(x) is zero or numerically indistinguishable from zero."""
-
-
 class ConfigError(SmcLabError, ValueError):
     """A configuration value violates its invariants."""
 
 
+class SingularGainError(ConfigError):
+    """Input gain g(x) is zero or numerically indistinguishable from zero."""
+
+
 class ScenarioValidationError(ConfigError):
-    """Scenario validation failed; carries the complete list of violations."""
+    """Scenario validation failed; carries the list of violations."""
 
     def __init__(self, errors):
         self.errors = list(errors)

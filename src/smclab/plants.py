@@ -11,8 +11,9 @@ State vectors are flat and interleaved, ``[x_1, v_1, ..., x_N, v_N]``, and
 each plant function maps that list to the interleaved derivative list on
 Python floats: the one-node plants unpack ``x, v = state``, the network
 splits and re-interleaves its node lists.  The input gain is a constant
-per-node vector (``b`` for every shipped plant), checked for
-``|g| >= 1e-9`` once, when a :class:`PlantModel` is built.
+per-node vector (``b`` for every shipped plant).  Each params class
+rejects ``|b| < 1e-9``, so ``validate`` does, and a :class:`PlantModel`
+checks its ``g`` by the same rule, for a hand-built gain.
 """
 from __future__ import annotations
 
@@ -32,6 +33,11 @@ def _finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
+def _check_gain(what: str, g) -> None:
+    if not np.all(np.abs(g) >= G_MIN):
+        raise SingularGainError(f"{what} must be >= {G_MIN:g}")
+
+
 @dataclass(frozen=True)
 class PendulumParams:
     a: float = 1.0      # gravity torque coefficient
@@ -45,8 +51,7 @@ class PendulumParams:
             raise ConfigError("pendulum a must be >= 0")
         if self.c < 0:
             raise ConfigError("pendulum c must be >= 0")
-        if self.b == 0:
-            raise ConfigError("pendulum b must be nonzero")
+        _check_gain("pendulum |b|", self.b)
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,7 @@ class VanDerPolParams:
             raise ConfigError("vdp parameters must be finite")
         if self.mu < 0:
             raise ConfigError("vdp mu must be >= 0")
-        if self.b == 0:
-            raise ConfigError("vdp b must be nonzero")
+        _check_gain("vdp |b|", self.b)
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,7 @@ class DuffingParams:
             raise ConfigError("duffing parameters must be finite")
         if self.delta < 0:
             raise ConfigError("duffing delta must be >= 0")
-        if self.b == 0:
-            raise ConfigError("duffing b must be nonzero")
+        _check_gain("duffing |b|", self.b)
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,7 @@ class PlantModel:
         g = np.array(self.g, dtype=float)
         if g.shape != (self.n_nodes,):
             raise ConfigError(f"plant '{self.name}': g must have shape ({self.n_nodes},)")
-        if not np.all(np.abs(g) >= G_MIN):
-            raise SingularGainError(f"plant '{self.name}': |g| must be >= {G_MIN:g}")
+        _check_gain(f"plant '{self.name}': |g|", g)
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_g", g.tolist())

@@ -19,8 +19,8 @@ A scenario JSON document (schema 1) looks like::
     }
 
 ``controller`` is either one object applied to every node or a list with
-one object per node.  ``validate`` reports the complete list of violations
-in one pass, never just the first.
+one object per node.  ``validate`` reports the violations of every field
+and table in one pass, but only the first failing range check per table.
 """
 from __future__ import annotations
 

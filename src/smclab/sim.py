@@ -118,22 +118,20 @@ class NoiseStreams:
     Stream identities are derived from the scenario seed as (seed, node, 0)
     for positions and (seed, node, 1) for velocities, so adding nodes never
     reshuffles the draws of existing ones.  ``x_rows``/``v_rows`` yield one
-    draw per node and step.  The velocity streams are built on first use,
+    draw per node and step.  Each channel's streams are built on first use,
     so a run that never reads velocity noise builds none.
     """
 
     def __init__(self, seed: int, n_nodes: int):
-        self.x = [np.random.default_rng([seed, i, 0]) for i in range(n_nodes)]
-        self.x_rows = _draw_rows(self.x)
         self._seed, self._n_nodes = seed, n_nodes
 
-    @cached_property
-    def v(self) -> list:
-        return [np.random.default_rng([self._seed, i, 1]) for i in range(self._n_nodes)]
+    def _channel(self, channel: int) -> list:
+        return [np.random.default_rng([self._seed, i, channel]) for i in range(self._n_nodes)]
 
-    @cached_property
-    def v_rows(self):
-        return _draw_rows(self.v)
+    x = cached_property(lambda self: self._channel(0))
+    v = cached_property(lambda self: self._channel(1))
+    x_rows = cached_property(lambda self: _draw_rows(self.x))
+    v_rows = cached_property(lambda self: _draw_rows(self.v))
 
 
 def apply_noise(state, cfg: NoiseConfig, streams: NoiseStreams) -> list:
@@ -260,9 +258,9 @@ class TimeSeries:
     ``table`` is one (samples, 2 + 7 * nodes) array in CSV column order:
     ``t``, then per node ``x, v, u, alpha, beta, s, V``, then ``d``;
     single-node runs drop the node suffix from the names.  The fields are
-    read-only views of that table: ``t`` and ``d`` are (samples,), the
-    rest (samples, nodes).  ``diverged_at`` is the time of the first
-    rejected state, None for a completed run; ``diverged`` follows from it.
+    views of that table: ``t`` and ``d`` are (samples,), the rest
+    (samples, nodes).  ``diverged_at`` is the time of the first rejected
+    state, None for a completed run; ``diverged`` follows from it.
     """
 
     table: np.ndarray
@@ -322,14 +320,16 @@ class TimeSeries:
     def read_csv(cls, path) -> "TimeSeries":
         """Read a run CSV written by :meth:`write_csv`, bit for bit.
 
-        Raises InvalidInputError for undecodable bytes, a header that is
-        not a run layout, or a malformed body.
+        Raises InvalidInputError for a file that cannot be read, undecodable
+        bytes, a header that is not a run layout, or a malformed body.
         """
         try:
             with open(path, "r", encoding="utf-8", newline="") as f:
                 lines = f.read().splitlines()
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{path}: not a UTF-8 text file: {exc}") from None
+        except OSError as exc:
+            raise InvalidInputError(f"{path}: cannot read: {exc}") from None
         comments = []
         while lines and lines[0].startswith("#"):
             comments.append(lines.pop(0))
@@ -379,11 +379,10 @@ def simulate_run(scenario) -> TimeSeries:
     Duffing's x ** 3 runs on numpy's array power loop, and rk4_step hands
     back an ndarray.  The record is one preallocated table in CSV column
     order (see TimeSeries): each step appends its state, u_applied, alpha,
-    beta and d to one list, written into the table through strided slices
-    once it holds RECORD_BLOCK values; t, s and V are filled after the
-    loop.  ``sim.record_stride`` is not read here, it thins only the
-    series scenarios.run hands to the writers.  The input gain is constant
-    and read once per run.
+    beta and d to one list, written through the series' fields once it
+    holds RECORD_BLOCK values; t, s and V are filled after the loop.
+    ``sim.record_stride`` is not read here, it thins only the series
+    scenarios.run hands to the writers.  The constant input gain is read once.
 
     A step whose result is non-finite or exceeds DIVERGENCE_LIMIT in
     magnitude ends the run: ``diverged_at`` is the time of that rejected
@@ -417,8 +416,7 @@ def simulate_run(scenario) -> TimeSeries:
     state = x0.tolist()
     g = plant.gain(x0).tolist()
 
-    w = len(_PER_NODE)
-    table = np.empty((n_steps + 1, 2 + w * n))
+    ts = TimeSeries(np.empty((n_steps + 1, 2 + len(_PER_NODE) * n)))
     buf, done = [], 0    # recorded steps not yet written, rows written
     diverged_at = None
 
@@ -426,47 +424,47 @@ def simulate_run(scenario) -> TimeSeries:
         # reads the held u_applied and d of the step being integrated
         return plant.derivative(y, tau, u_applied, d)
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        measured = apply_noise(state, noise, streams) if noisy else state
-        xm = measured[0::2]
-        vm = measured[1::2] if estimator is None else estimator.update(xm)
-        u, alpha, beta = control(xm, vm, g, dt)
-        u_applied = delay.push(u) if delay.n else u
-        d = eval_disturbance(disturbance, t) if disturbed else 0.0
+    # numpy arithmetic in the step (Duffing's cube) overflows to inf without
+    # a warning, and the run ends as a divergence, as on a float overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            t = k * dt
+            measured = apply_noise(state, noise, streams) if noisy else state
+            xm = measured[0::2]
+            vm = measured[1::2] if estimator is None else estimator.update(xm)
+            u, alpha, beta = control(xm, vm, g, dt)
+            u_applied = delay.push(u) if delay.n else u
+            d = eval_disturbance(disturbance, t) if disturbed else 0.0
 
-        buf += [*state, *u_applied, *alpha, *beta, d]
-        if len(buf) >= RECORD_BLOCK:
-            done = _write_block(table, done, buf, n)
-            buf.clear()
+            buf += [*state, *u_applied, *alpha, *beta, d]
+            if len(buf) >= RECORD_BLOCK:
+                done = _write_block(ts, done, buf, n)
+                buf.clear()
 
-        if k == n_steps:
-            break
+            if k == n_steps:
+                break
 
-        try:
-            state = rk4_step(deriv, state, t, dt).tolist()
-        except DivergenceError:
-            state = None
-        if state is None or max(map(abs, state)) > DIVERGENCE_LIMIT:
-            diverged_at = t + dt
-            break
+            try:
+                state = rk4_step(deriv, state, t, dt).tolist()
+            except DivergenceError:
+                state = None
+            if state is None or max(map(abs, state)) > DIVERGENCE_LIMIT:
+                diverged_at = t + dt
+                break
 
-    _write_block(table, done, buf, n)
-    table = table[:k + 1]
-    table[:, 0] = np.arange(k + 1) * dt
-    table[:, 6:-1:w], table[:, 7:-1:w] = controllers.surface_energy(
-        table[:, 4:-1:w], table[:, 5:-1:w])
-    return TimeSeries(table, diverged_at)
+    _write_block(ts, done, buf, n)
+    ts = TimeSeries(ts.table[:k + 1], diverged_at)
+    ts.t[:] = np.arange(k + 1) * dt
+    ts.s[:], ts.V[:] = controllers.surface_energy(ts.alpha, ts.beta)
+    return ts
 
 
-def _write_block(table, start: int, values: list, n: int) -> int:
+def _write_block(ts: TimeSeries, start: int, values: list, n: int) -> int:
     """Write steps recorded as [*state, *u, *alpha, *beta, d] over ``n``
-    nodes into ``table`` from row ``start``; returns the next row."""
+    nodes into ``ts`` from row ``start``; returns the next row."""
     block = np.array(values).reshape(-1, 5 * n + 1)
-    rows = table[start:start + len(block)]
-    w = len(_PER_NODE)
-    rows[:, 1:-1:w], rows[:, 2:-1:w] = block[:, 0:2 * n:2], block[:, 1:2 * n:2]
-    for j in range(2, 5):
-        rows[:, 1 + j:-1:w] = block[:, j * n:(j + 1) * n]
-    rows[:, -1] = block[:, -1]
+    rows = slice(start, start + len(block))
+    ts.x[rows], ts.v[rows] = block[:, 0:2 * n:2], block[:, 1:2 * n:2]
+    ts.u[rows], ts.alpha[rows], ts.beta[rows] = np.split(block[:, 2 * n:-1], 3, axis=1)
+    ts.d[rows] = block[:, -1]
     return start + len(block)

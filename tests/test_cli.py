@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,6 +208,24 @@ def test_run_diverging_beyond_a_float_span_skips_its_figure(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["fig4_network5_observer_free.csv"]
 
 
+def test_run_overflowing_numpy_ends_as_a_divergence_without_a_warning(tmp_path, capsys):
+    # Duffing's cube runs on numpy: (1e103) ** 3 overflows at the first step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "fig3_duffing_observer_free", "--out-dir", str(tmp_path),
+                     "--set", "x0=[1e103,0]", "--set", "sim.t_final=0.01"])
+    assert code == 3
+    assert capsys.readouterr().err == "run diverged at t=0.001 s, partial output written\n"
+
+
+def test_run_vanishing_input_gain_is_invalid_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", FIG1, "--set", "plant.b=1e-12", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "invalid scenario: plant: pendulum |b| must be >= 1e-09\n"
+    assert not out.exists()
+
+
 def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys):
     blocker = tmp_path / f"{FIG1}.svg"
     blocker.mkdir()
@@ -383,9 +402,11 @@ def test_plot_unknown_column(fig1_csv, capsys):
 
 
 def test_plot_missing_file(tmp_path, capsys):
-    code = main(["plot", str(tmp_path / "absent.csv"), "--columns", "x"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # a missing file and a directory are unreadable inputs, not failed writes
+    for path in (tmp_path / "absent.csv", tmp_path):
+        code = main(["plot", str(path), "--columns", "x"])
+        assert code == 2
+        assert _one_line_error(capsys).startswith(f"error: {path}: cannot read: ")
 
 
 def test_plot_non_utf8_csv_is_config_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -317,6 +318,68 @@ def test_validate_accepts_or_rejects_every_json_document(data):
         assert isinstance(validate(doc), scenarios.Scenario)
     except ScenarioValidationError:
         pass
+
+
+_GAINS = st.sampled_from([0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, 1.0, 1e300])
+_PARAMS = st.sampled_from([0.0, 0.1, 1.0, 5.0, 1e300]) | st.floats(0.0, 100.0)
+_HUGE = (st.sampled_from([0.0, 1e154, -1e154, 1e300, 1.7e308, -1.7e308])
+         | st.floats(-1.7e308, 1.7e308))
+
+
+def _plant_document(draw, name):
+    if name == "network5":
+        node = {"a": draw(_PARAMS), "c": draw(_PARAMS), "b": draw(_GAINS)}
+        return {"name": name, "n": draw(st.integers(2, 5)), "kappa": draw(_PARAMS),
+                "topology": draw(st.sampled_from(plants.TOPOLOGIES)), "node": node}
+    fields = [f.name for f in dataclasses.fields(plants.param_type(name)) if f.name != "b"]
+    return {"name": name, "b": draw(_GAINS), **{f: draw(_PARAMS) for f in fields}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_validated_scenario_runs(data):
+    # whatever validate accepts runs to a result, a divergence at worst,
+    # with no exception and no numpy warning
+    draw = data.draw
+    plant = _plant_document(draw, draw(st.sampled_from(plants.PLANT_NAMES)))
+    n = plant.get("n", 1)
+    dt = draw(st.sampled_from([1e-3, 2e-3, 5e-3]))
+    doc = {
+        "name": "fuzz",
+        "plant": plant,
+        "controller": {"name": draw(st.sampled_from(controllers.CONTROLLER_NAMES))},
+        "x0": draw(st.lists(_HUGE, min_size=2 * n, max_size=2 * n)),
+        "sim": {"dt": dt, "t_final": draw(st.sampled_from([dt, 0.01])),
+                "seed": draw(st.integers(0, 3))},
+        "noise": {"std_x": draw(_PARAMS), "std_v": draw(_PARAMS)},
+        "disturbance": {"kind": "sinusoid", "amplitude": draw(_PARAMS),
+                        "angular_frequency": draw(_PARAMS)},
+        "delay": {"tau": draw(st.sampled_from([0.0, 2e-3]))},
+        "estimate_velocity": draw(st.booleans()),
+    }
+    try:
+        sc = validate(doc)
+    except ScenarioValidationError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scenarios.run(sc)
+
+
+def test_validate_rejects_a_vanishing_input_gain():
+    by_name = _suite_by_name()
+    for fig, key in (("fig1_pendulum", "pendulum |b|"), ("fig2_vdp", "vdp |b|"),
+                     ("fig3_duffing", "duffing |b|")):
+        raw = by_name[f"{fig}_observer_free"].to_dict()
+        raw["plant"]["b"] = -1e-12
+        with pytest.raises(ScenarioValidationError) as exc:
+            validate(raw)
+        assert exc.value.errors == [f"plant: {key} must be >= 1e-09"]
+    raw = by_name["fig4_network5_observer_free"].to_dict()
+    raw["plant"]["node"]["b"] = 1e-12
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate(raw)
+    assert exc.value.errors == ["plant.node: pendulum |b| must be >= 1e-09"]
 
 
 def test_run_key_tracks_physics_only():
