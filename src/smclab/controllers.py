@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SingularGainError
+from .errors import ConfigError, InvalidInputError, SingularGainError, check_ranges
 from .plants import G_MIN
 
 TANH_TABLE_MIN = 64
@@ -74,15 +74,11 @@ class ObserverFreeParams:
     tanh_table_size: int = 0    # 0 = exact tanh, 64 .. 2**16 = lookup table
 
     def __post_init__(self):
-        if not (math.isfinite(self.k1) and self.k1 > 0):
-            raise ConfigError("observer-free k1 must be > 0")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError("observer-free lambda must be > 0")
         size = self.tanh_table_size
-        if size != 0 and not TANH_TABLE_MIN <= size <= TANH_TABLE_MAX:
-            raise ConfigError(
-                f"tanh table size must be 0 or in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]"
-            )
+        check_ranges(
+            positive={"observer-free k1": self.k1, "observer-free lambda": self.lam},
+            rules=[(size == 0 or TANH_TABLE_MIN <= size <= TANH_TABLE_MAX,
+                    f"tanh table size must be 0 or in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]")])
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,7 @@ class ClassicalParams:
     k: float = 5.0              # switching gain
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam_s) and self.lam_s > 0):
-            raise ConfigError("classical lam_s must be > 0")
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ConfigError("classical k must be > 0")
+        check_ranges(positive={"classical lam_s": self.lam_s, "classical k": self.k})
 
 
 @dataclass(frozen=True)
@@ -104,12 +97,9 @@ class SuperTwistingParams:
     k2st: float = 5.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam_s) and self.lam_s > 0):
-            raise ConfigError("super-twisting lam_s must be > 0")
-        if not (math.isfinite(self.k1st) and self.k1st > 0):
-            raise ConfigError("super-twisting k1st must be > 0")
-        if not (math.isfinite(self.k2st) and self.k2st > 0):
-            raise ConfigError("super-twisting k2st must be > 0")
+        check_ranges(positive={"super-twisting lam_s": self.lam_s,
+                               "super-twisting k1st": self.k1st,
+                               "super-twisting k2st": self.k2st})
 
 
 @dataclass(frozen=True)
@@ -121,16 +111,12 @@ class AdaptiveParams:
     kmax: float = 50.0          # adaptation ceiling
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam_s) and self.lam_s > 0):
-            raise ConfigError("adaptive lam_s must be > 0")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError("adaptive gamma must be >= 0")
-        if not (math.isfinite(self.phi) and self.phi > 0):
-            raise ConfigError("adaptive phi must be > 0")
-        if not (math.isfinite(self.k0) and self.k0 >= 0):
-            raise ConfigError("adaptive k0 must be >= 0")
-        if not (math.isfinite(self.kmax) and self.kmax >= self.k0):
-            raise ConfigError("adaptive kmax must be >= k0")
+        check_ranges(positive={"adaptive lam_s": self.lam_s, "adaptive phi": self.phi},
+                     nonnegative={"adaptive gamma": self.gamma, "adaptive k0": self.k0},
+                     # kmax is compared with a valid k0 only
+                     rules=[(math.isfinite(self.kmax)
+                             and (self.kmax >= self.k0 or not 0 <= self.k0 < math.inf),
+                             "adaptive kmax must be >= k0")])
 
 
 @lru_cache(maxsize=None)

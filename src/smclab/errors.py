@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range checker."""
+
+import math
 
 
 class SmcLabError(Exception):
@@ -10,7 +12,11 @@ class InvalidInputError(SmcLabError, ValueError):
 
 
 class ConfigError(SmcLabError, ValueError):
-    """A configuration value violates its invariants."""
+    """Configuration values violate invariants; ``errors`` lists each violation."""
+
+    def __init__(self, *messages):
+        self.errors = list(messages)
+        super().__init__("; ".join(messages))
 
 
 class SingularGainError(ConfigError):
@@ -21,8 +27,7 @@ class ScenarioValidationError(ConfigError):
     """Scenario validation failed; carries the list of violations."""
 
     def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+        super().__init__(*errors)
 
 
 class DivergenceError(SmcLabError, RuntimeError):
@@ -31,3 +36,21 @@ class DivergenceError(SmcLabError, RuntimeError):
     def __init__(self, t, message=""):
         self.t = float(t)
         super().__init__(message or f"integration diverged at t={t:.6g} s")
+
+
+def check_ranges(positive=None, nonnegative=None, finite=None, rules=(), gain=()):
+    """Raise one ConfigError listing every failed check; return if none fails.
+
+    ``positive``, ``nonnegative`` and ``finite`` map labels to values that
+    must be finite and > 0, finite and >= 0, or finite.  ``rules`` are
+    ``(ok, message)`` pairs for any other rule, and ``gain`` those of the
+    input gain floor, whose failure makes the error a SingularGainError.
+    """
+    failed = [f"{k} must be > 0" for k, v in (positive or {}).items() if not 0 < v < math.inf]
+    failed += [f"{k} must be >= 0" for k, v in (nonnegative or {}).items()
+               if not 0 <= v < math.inf]
+    failed += [f"{k} must be finite" for k, v in (finite or {}).items() if not math.isfinite(v)]
+    failed += [message for ok, message in rules if not ok]
+    singular = [message for ok, message in gain if not ok]
+    if failed or singular:
+        raise (SingularGainError if singular else ConfigError)(*failed, *singular)

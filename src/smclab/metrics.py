@@ -16,6 +16,7 @@ import numpy as np
 from .controllers import is_observer_free
 from .errors import InvalidInputError
 
+SETTLING_BAND = 0.02    # absolute position band of settling_time
 LYAP_RISE_TOL = 1e-9
 LYAP_S2_FLOOR = 1e-6
 
@@ -38,9 +39,7 @@ class Thresholds:
     """Pass/fail limits for the comparison matrix, versioned defaults."""
 
     version: int = 1
-    settling_band: float = 0.02     # absolute position band
-    chattering_max: float = 10.0    # total variation limit at scale 1
-    chattering_scale: float = 1.0   # scenario amplitude scale factor
+    chattering_max: float = 10.0    # total variation limit
     slew_max: float = 1e3           # |du|/dt limit, units of u per second
 
 
@@ -179,8 +178,8 @@ def _fmt(value) -> str:
 def compute_report(ts, run_key: str = "") -> MetricsReport:
     """Build the standard report for one recorded run.
 
-    Position metrics use the node-mean trajectory and the default settling
-    band; control metrics take the worst node except effort, which sums
+    Position metrics use the node-mean trajectory and ``SETTLING_BAND``;
+    control metrics take the worst node except effort, which sums
     over nodes.  Lyapunov statistics aggregate V and s^2 over nodes, which
     reduces to the single-node definition for one node.  The control
     metrics are None when u^2 or du/dt overflow, the Lyapunov ones when
@@ -223,7 +222,7 @@ def compute_report(ts, run_key: str = "") -> MetricsReport:
     steady = float(np.mean(np.abs(x_mean[-tail:])))
 
     return MetricsReport(
-        settling_time=settling_time(x_mean, DEFAULT_THRESHOLDS.settling_band, dt),
+        settling_time=settling_time(x_mean, SETTLING_BAND, dt),
         overshoot=over,
         chattering_index=chat,
         control_effort=effort,
@@ -326,12 +325,11 @@ def comparison_matrix(
     controllers = tuple(sorted(reports, key=_controller_sort_key))
     cells = {prop: {} for prop in MATRIX_PROPERTIES}
     measured = {prop: {} for prop in MATRIX_PROPERTIES}
-    chatter_limit = thresholds.chattering_max * thresholds.chattering_scale
 
     for name in controllers:
         rep = reports[name]
         ok = not rep.diverged
-        cells["NoChattering"][name] = ok and rep.chattering_index < chatter_limit
+        cells["NoChattering"][name] = ok and rep.chattering_index < thresholds.chattering_max
         measured["NoChattering"][name] = rep.chattering_index
 
         cells["ObserverFree"][name] = is_observer_free(name)

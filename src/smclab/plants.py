@@ -23,19 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SingularGainError
+from .errors import ConfigError, check_ranges
 
 G_MIN = 1e-9
 TOPOLOGIES = ("ring", "chain")
 
 
-def _finite(value) -> bool:
-    return bool(np.all(np.isfinite(value)))
-
-
-def _check_gain(what: str, g) -> None:
-    if not np.all(np.abs(g) >= G_MIN):
-        raise SingularGainError(f"{what} must be >= {G_MIN:g}")
+def _gain_floor(what: str, g) -> tuple[bool, str]:
+    """The |g| >= G_MIN rule, nan failing, as a ``check_ranges`` gain pair."""
+    return bool(np.all(np.abs(g) >= G_MIN)), f"{what} must be >= {G_MIN:g}"
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,9 @@ class PendulumParams:
     b: float = 1.0      # input gain
 
     def __post_init__(self):
-        if not _finite((self.a, self.c, self.b)):
-            raise ConfigError("pendulum parameters must be finite")
-        if self.a < 0:
-            raise ConfigError("pendulum a must be >= 0")
-        if self.c < 0:
-            raise ConfigError("pendulum c must be >= 0")
-        _check_gain("pendulum |b|", self.b)
+        check_ranges(nonnegative={"pendulum a": self.a, "pendulum c": self.c},
+                     finite={"pendulum b": self.b},
+                     gain=[_gain_floor("pendulum |b|", self.b)])
 
 
 @dataclass(frozen=True)
@@ -60,11 +52,8 @@ class VanDerPolParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not _finite((self.mu, self.b)):
-            raise ConfigError("vdp parameters must be finite")
-        if self.mu < 0:
-            raise ConfigError("vdp mu must be >= 0")
-        _check_gain("vdp |b|", self.b)
+        check_ranges(nonnegative={"vdp mu": self.mu}, finite={"vdp b": self.b},
+                     gain=[_gain_floor("vdp |b|", self.b)])
 
 
 @dataclass(frozen=True)
@@ -75,11 +64,10 @@ class DuffingParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not _finite((self.lin, self.cub, self.delta, self.b)):
-            raise ConfigError("duffing parameters must be finite")
-        if self.delta < 0:
-            raise ConfigError("duffing delta must be >= 0")
-        _check_gain("duffing |b|", self.b)
+        check_ranges(nonnegative={"duffing delta": self.delta},
+                     finite={"duffing lin": self.lin, "duffing cub": self.cub,
+                             "duffing b": self.b},
+                     gain=[_gain_floor("duffing |b|", self.b)])
 
 
 @dataclass(frozen=True)
@@ -90,12 +78,10 @@ class NetworkParams:
     node: PendulumParams = PendulumParams()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ConfigError("network n must be an integer >= 2")
-        if not _finite(self.kappa) or self.kappa < 0:
-            raise ConfigError("network kappa must be >= 0")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"network topology must be one of {TOPOLOGIES}")
+        check_ranges(nonnegative={"network kappa": self.kappa}, rules=[
+            (isinstance(self.n, int) and self.n >= 2, "network n must be an integer >= 2"),
+            (self.topology in TOPOLOGIES, f"network topology must be one of {TOPOLOGIES}"),
+        ])
 
 
 # Each plant maps the interleaved state list, the per-node gains gs and held
@@ -178,9 +164,9 @@ class PlantModel:
 
     def __post_init__(self):
         g = np.array(self.g, dtype=float)
-        if g.shape != (self.n_nodes,):
-            raise ConfigError(f"plant '{self.name}': g must have shape ({self.n_nodes},)")
-        _check_gain(f"plant '{self.name}': |g|", g)
+        check_ranges(rules=[(g.shape == (self.n_nodes,),
+                             f"plant '{self.name}': g must have shape ({self.n_nodes},)")],
+                     gain=[_gain_floor(f"plant '{self.name}': |g|", g)])
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_g", g.tolist())

@@ -19,8 +19,9 @@ A scenario JSON document (schema 1) looks like::
     }
 
 ``controller`` is either one object applied to every node or a list with
-one object per node.  ``validate`` reports the violations of every field
-and table in one pass, but only the first failing range check per table.
+one object per node.  ``validate`` reports every violation in one pass,
+each failing range check of a table included, unless the table has an
+unknown key or a wrongly typed value.
 """
 from __future__ import annotations
 
@@ -152,7 +153,7 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
                 errors.append(f"{path}.{key}: expected an integer")
         elif isinstance(val, (int, float)):
             kwargs[name] = _float(val, f"{path}.{key}", errors)
-        elif isinstance(val, str):
+        elif isinstance(val, str) and valid[name].type in (str, "str"):
             kwargs[name] = val
         else:
             errors.append(f"{path}.{key}: unsupported value type")
@@ -160,8 +161,8 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
         return None
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:  # ConfigError included
-        errors.append(f"{path}: {exc}")
+    except (TypeError, ValueError) as exc:  # ConfigError lists every violation
+        errors += [f"{path}: {m}" for m in getattr(exc, "errors", [exc])]
     return None
 
 

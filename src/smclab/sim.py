@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import controllers
-from .errors import ConfigError, DivergenceError, InvalidInputError
+from .errors import ConfigError, DivergenceError, InvalidInputError, check_ranges
 
 DIVERGENCE_LIMIT = 1e6
 DT_MIN = 1e-6
@@ -37,19 +37,22 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.dt) or self.dt <= 0:
-            raise ConfigError("sim.dt must be positive")
-        if not DT_MIN <= self.dt <= DT_MAX:
-            raise ConfigError(f"sim.dt must lie in [{DT_MIN:g}, {DT_MAX:g}]")
-        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
-            raise ConfigError("sim.t_final must be >= dt")
-        steps = self.t_final / self.dt      # inf once the quotient overflows
-        if math.isinf(steps) or round(steps) > MAX_STEPS:
-            raise ConfigError(f"sim step count exceeds {MAX_STEPS:g}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("sim.seed must be an integer in [0, 2^64)")
-        if not isinstance(self.record_stride, int) or self.record_stride < 1:
-            raise ConfigError("sim.record_stride must be an integer >= 1")
+        dt, t_final = self.dt, self.t_final
+        dt_ok = DT_MIN <= dt <= DT_MAX
+        t_ok = math.isfinite(t_final) and t_final >= dt
+        steps = t_final / dt if dt_ok and t_ok else 0.0     # inf once the quotient overflows
+        # the window is checked on a positive dt, t_final >= dt on a valid dt
+        check_ranges(rules=[
+            (0 < dt < math.inf, "sim.dt must be positive"),
+            (dt_ok or not 0 < dt < math.inf, f"sim.dt must lie in [{DT_MIN:g}, {DT_MAX:g}]"),
+            (t_ok or not dt_ok and math.isfinite(t_final), "sim.t_final must be >= dt"),
+            (not math.isinf(steps) and round(steps) <= MAX_STEPS,
+             f"sim step count exceeds {MAX_STEPS:g}"),
+            (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
+             "sim.seed must be an integer in [0, 2^64)"),
+            (isinstance(self.record_stride, int) and self.record_stride >= 1,
+             "sim.record_stride must be an integer >= 1"),
+        ])
 
     @property
     def n_steps(self) -> int:
@@ -62,10 +65,7 @@ class NoiseConfig:
     std_v: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.std_x) and self.std_x >= 0):
-            raise ConfigError("noise.std_x must be >= 0")
-        if not (math.isfinite(self.std_v) and self.std_v >= 0):
-            raise ConfigError("noise.std_v must be >= 0")
+        check_ranges(nonnegative={"noise.std_x": self.std_x, "noise.std_v": self.std_v})
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,11 @@ class DisturbanceSpec:
     angular_frequency: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ConfigError(
-                f"disturbance.kind must be one of {DISTURBANCE_KINDS}"
-            )
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError("disturbance.amplitude must be >= 0")
-        if not (math.isfinite(self.angular_frequency) and self.angular_frequency >= 0):
-            raise ConfigError("disturbance.angular_frequency must be >= 0")
+        check_ranges(
+            nonnegative={"disturbance.amplitude": self.amplitude,
+                         "disturbance.angular_frequency": self.angular_frequency},
+            rules=[(self.kind in DISTURBANCE_KINDS,
+                    f"disturbance.kind must be one of {DISTURBANCE_KINDS}")])
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,7 @@ class DelaySpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise ConfigError("delay.tau must be >= 0")
+        check_ranges(nonnegative={"delay.tau": self.tau})
 
 
 def eval_disturbance(spec: DisturbanceSpec, t: float) -> float:

@@ -224,6 +224,14 @@ def test_run_vanishing_input_gain_is_invalid_before_any_output(tmp_path, capsys)
     assert code == 2
     assert capsys.readouterr().err == "invalid scenario: plant: pendulum |b| must be >= 1e-09\n"
     assert not out.exists()
+    # one line per violation, every range check of the table included
+    code = main(["run", FIG1, "--set", "plant.b=1e-12", "--set", "plant.a=-1",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid scenario: plant: pendulum a must be >= 0\n"
+        "invalid scenario: plant: pendulum |b| must be >= 1e-09\n")
+    assert not out.exists()
 
 
 def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys):

@@ -176,6 +176,10 @@ def test_param_validation():
         AdaptiveParams(phi=0.0)
     with pytest.raises(ConfigError):
         AdaptiveParams(k0=5.0, kmax=1.0)
+    # every violation of one parameter set is listed
+    with pytest.raises(ConfigError) as err:
+        AdaptiveParams(phi=0.0, k0=5.0, kmax=1.0)
+    assert err.value.errors == ["adaptive phi must be > 0", "adaptive kmax must be >= k0"]
 
 
 def test_bounded_for_random_inputs():

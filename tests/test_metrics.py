@@ -182,9 +182,8 @@ def test_sync_error_needs_two_nodes():
 def test_default_thresholds_frozen():
     th = DEFAULT_THRESHOLDS
     assert th.version == 1
-    assert th.settling_band == 0.02
+    assert metrics.SETTLING_BAND == 0.02
     assert th.chattering_max == 10.0
-    assert th.chattering_scale == 1.0
     assert th.slew_max == 1e3
 
 

@@ -159,6 +159,10 @@ def test_param_validation():
         NetworkParams(topology="star")
     with pytest.raises(ConfigError):
         NetworkParams(kappa=-1.0)
+    # every violation is listed, and a gain below the floor makes it singular
+    with pytest.raises(SingularGainError) as err:
+        PendulumParams(a=-1.0, b=0.0)
+    assert err.value.errors == ["pendulum a must be >= 0", "pendulum |b| must be >= 1e-09"]
 
 
 def test_make_plant_names_and_dimensions():

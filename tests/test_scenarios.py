@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import threading
 import tracemalloc
 import warnings
@@ -200,6 +201,11 @@ def test_unknown_controller_parameter():
         raw["controller"] = entry
         with pytest.raises(ScenarioValidationError, match="unknown parameter"):
             validate(raw)
+    # a string where a number belongs is a wrongly typed value
+    raw["controller"] = {"name": "observer-free", "k1": "abc"}
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == ["controller.k1: unsupported value type"]
 
 
 def test_a_document_needs_only_name_plant_controller_and_x0():
@@ -318,6 +324,55 @@ def test_validate_accepts_or_rejects_every_json_document(data):
         assert isinstance(validate(doc), scenarios.Scenario)
     except ScenarioValidationError:
         pass
+
+
+_NOT_POSITIVE = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+_NEGATIVE = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
+# independent bad settings of fig1: (table, key, bad values, the one message)
+_BAD_SETTINGS = (
+    ("plant", "a", _NEGATIVE, "plant: pendulum a must be >= 0"),
+    ("plant", "c", _NEGATIVE, "plant: pendulum c must be >= 0"),
+    ("plant", "b", st.floats(-9.9e-10, 9.9e-10), "plant: pendulum |b| must be >= 1e-09"),
+    ("controller", "k1", _NOT_POSITIVE, "controller: observer-free k1 must be > 0"),
+    ("controller", "lambda", _NOT_POSITIVE, "controller: observer-free lambda must be > 0"),
+    ("controller", "tanh_table_size", st.integers(1, 63) | st.integers(2 ** 16 + 1),
+     "controller: tanh table size must be 0 or in [64, 65536]"),
+    ("sim", "seed", st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
+     "sim: sim.seed must be an integer in [0, 2^64)"),
+    ("sim", "record_stride", st.integers(max_value=0),
+     "sim: sim.record_stride must be an integer >= 1"),
+    ("noise", "std_x", _NEGATIVE, "noise: noise.std_x must be >= 0"),
+    ("noise", "std_v", _NEGATIVE, "noise: noise.std_v must be >= 0"),
+    ("disturbance", "amplitude", _NEGATIVE, "disturbance: disturbance.amplitude must be >= 0"),
+    ("disturbance", "angular_frequency", _NEGATIVE,
+     "disturbance: disturbance.angular_frequency must be >= 0"),
+    ("disturbance", "kind", st.text().filter(lambda k: k not in sim.DISTURBANCE_KINDS),
+     "disturbance: disturbance.kind must be one of ('none', 'sinusoid')"),
+    ("delay", "tau", _NEGATIVE, "delay: delay.tau must be >= 0"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validate_lists_every_range_violation(data):
+    chosen = data.draw(st.sets(st.sampled_from(range(len(_BAD_SETTINGS)))))
+    raw = _fig1_raw()
+    want = []
+    for table, key, values, message in (_BAD_SETTINGS[i] for i in sorted(chosen)):
+        raw[table][key] = data.draw(values)
+        want.append(message)
+    # an unknown key still stops its table's range checks
+    unknown = data.draw(st.none() | st.sampled_from(["plant", "controller", "sim"]))
+    if unknown is not None:
+        raw[unknown]["bogus"] = 1.0
+        want = [m for m in want if not m.startswith(unknown + ":")]
+        want.append(f"{unknown}.bogus: unknown parameter")
+    if not want:
+        assert validate(raw).name == raw["name"]
+        return
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert sorted(err.value.errors) == sorted(want)
 
 
 _GAINS = st.sampled_from([0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, 1.0, 1e300])

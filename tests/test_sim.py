@@ -705,6 +705,10 @@ def test_sim_config_validation():
         SimConfig(seed=-1)
     with pytest.raises(ConfigError):
         SimConfig(record_stride=0)
+    with pytest.raises(ConfigError) as err:
+        SimConfig(seed=-1, record_stride=0)
+    assert err.value.errors == ["sim.seed must be an integer in [0, 2^64)",
+                                "sim.record_stride must be an integer >= 1"]
 
 
 def test_support_config_validation():
