@@ -162,6 +162,12 @@ def _surface(p, xs, vs) -> list:
 
 
 def _observer_free_rows(p, state, xs, vs, gs, dt):
+    if len(xs) == 1 and not p.tanh_table_size:
+        # one node: the same operations on floats, without the comprehensions
+        (x,), (v,), (g,) = xs, vs, gs
+        alpha = v + p.k1 * x
+        u = -p.lam * math.tanh(alpha)
+        return ([u], [alpha], [u / g]), state
     alpha = [v + p.k1 * x for x, v in zip(xs, vs)]
     size = p.tanh_table_size
     th = _tanh_lookup(alpha, size) if size else map(math.tanh, alpha)

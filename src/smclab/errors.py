@@ -18,6 +18,11 @@ class ConfigError(SmcLabError, ValueError):
         self.errors = list(messages)
         super().__init__("; ".join(messages))
 
+    # pickling rebuilds each error from its own constructor arguments, not
+    # from the joined message that Exception keeps as ``args``
+    def __reduce__(self):
+        return type(self), tuple(self.errors)
+
 
 class SingularGainError(ConfigError):
     """Input gain g(x) is zero or numerically indistinguishable from zero."""
@@ -29,6 +34,9 @@ class ScenarioValidationError(ConfigError):
     def __init__(self, errors):
         super().__init__(*errors)
 
+    def __reduce__(self):
+        return type(self), (self.errors,)
+
 
 class DivergenceError(SmcLabError, RuntimeError):
     """Integration produced non-finite or runaway state; carries the time."""
@@ -36,6 +44,9 @@ class DivergenceError(SmcLabError, RuntimeError):
     def __init__(self, t, message=""):
         self.t = float(t)
         super().__init__(message or f"integration diverged at t={t:.6g} s")
+
+    def __reduce__(self):
+        return type(self), (self.t, str(self))
 
 
 def check_ranges(positive=None, nonnegative=None, finite=None, rules=(), gain=()):

@@ -26,6 +26,7 @@ MAX_STEPS = 10 ** 8
 MAX_RECORDED_SAMPLES = 10 ** 7    # (steps + 1) x nodes a run may record
 NOISE_BLOCK = 256                 # draws taken from each noise stream at once
 RECORD_BLOCK = 1024               # recorded values held between table writes
+CSV_BLOCK = 1152                  # table cells formatted at once by write_csv
 DISTURBANCE_KINDS = ("none", "sinusoid")
 
 
@@ -157,7 +158,7 @@ class DelayLine:
     """
 
     def __init__(self, tau: float, dt: float, fill=0.0):
-        if tau < 0:
+        if not tau >= 0:
             raise ConfigError("delay tau must be >= 0")
         # round() guards against 0.01/0.001 style quotients landing above
         # the intended integer by one ulp; no run pushes more than
@@ -209,9 +210,12 @@ def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
 
     A list state (the simulator's step) is integrated on Python floats and
     ``deriv`` must map lists of floats to lists.  Any other 1-D state is
-    handed to ``deriv`` as an ndarray.  The arithmetic is elementwise IEEE
-    either way, so both give the bits the array expressions give.  Returns
-    the new state as an ndarray; raises DivergenceError if it is not finite.
+    handed to ``deriv`` as an ndarray.  A two-float state (one node) is
+    integrated in unrolled scalar expressions, which skip the per-stage
+    list comprehensions; ``deriv`` still sees two-element lists.  The
+    arithmetic is elementwise IEEE in the same order on every path, so all
+    give the bits the array expressions give.  Returns the new state as an
+    ndarray; raises DivergenceError if it is not finite.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidInputError("dt must be > 0")
@@ -224,6 +228,17 @@ def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
             return np.asarray(deriv(np.array(s), tau), dtype=float).tolist()
 
     h = 0.5 * dt
+    if len(y) == 2:
+        x, v = y
+        kx1, kv1 = f(y, t)
+        kx2, kv2 = f([x + h * kx1, v + h * kv1], t + h)
+        kx3, kv3 = f([x + h * kx2, v + h * kv2], t + h)
+        kx4, kv4 = f([x + dt * kx3, v + dt * kv3], t + dt)
+        x = x + dt * ((kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4) / 6.0)
+        v = v + dt * ((kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4) / 6.0)
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise DivergenceError(t)
+        return np.array([x, v])
     k1 = f(y, t)
     k2 = f([a + h * b for a, b in zip(y, k1)], t + h)
     k3 = f([a + h * b for a, b in zip(y, k2)], t + h)
@@ -307,10 +322,19 @@ class TimeSeries:
             if self.diverged:
                 f.write(f"# diverged_at={self.diverged_at!r}\n")
             f.write(",".join(self.column_names()) + "\n")
-            # one row at a time: a whole-table tolist() holds every cell as
-            # a Python float at once
-            for row in self.table:
-                f.write(",".join(map(repr, row.tolist())) + "\n")
+            # about CSV_BLOCK cells at a time, so memory stays bounded for any
+            # width, and each distinct column of a block is formatted once:
+            # equal bits give equal repr (-0.0 and 0.0 have different bits)
+            rows = max(1, CSV_BLOCK // self.table.shape[1])
+            for start in range(0, self.n_samples, rows):
+                formatted = {}
+                cols = []
+                for col in self.table[start:start + rows].T:
+                    key = col.tobytes()
+                    if key not in formatted:
+                        formatted[key] = list(map(repr, col.tolist()))
+                    cols.append(formatted[key])
+                f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "TimeSeries":
@@ -365,9 +389,10 @@ def simulate_run(scenario) -> TimeSeries:
     disturbance kind "none" d is 0.0.  Under ``estimate_velocity`` the
     estimate replaces the measured v, so no velocity noise is drawn.
 
-    The step works on Python floats: node vectors are lists, and a one-node
-    plant's derivative unpacks two floats, because numpy call overhead on
-    2- to 32-element arrays costs more than the arithmetic.
+    The step works on Python floats: node vectors are lists, and on one
+    node the plant derivative, rk4_step and the observer-free law unpack
+    two floats, because numpy call overhead on 2- to 32-element arrays
+    costs more than the arithmetic.
     Every operation is elementwise IEEE arithmetic in the order the array
     expressions used, so the bits are those of the array form.  numpy stays
     where it pays or where it rounds differently: noise is drawn in blocks

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import threading
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smclab import controllers, plants, scenarios, sim
+from smclab import controllers, errors, plants, scenarios, sim
 from smclab.errors import ConfigError, ScenarioValidationError, SmcLabError
 from smclab.scenarios import (
     builtin_suite,
@@ -458,6 +459,28 @@ def test_run_key_tracks_physics_only():
     raw4 = a.to_dict()
     raw4["plant"]["c"] = 0.2
     assert run_key(validate(raw4)) != run_key(a)
+
+
+def test_every_error_class_survives_pickling():
+    made = [
+        errors.SmcLabError("boom"),
+        errors.InvalidInputError("dt must be > 0"),
+        errors.ConfigError("x: bad"),
+        errors.ConfigError("x: bad", "y: worse"),
+        errors.SingularGainError("plant.b: |b| must be >= 1e-09"),
+        errors.ScenarioValidationError(["x: bad", "y: worse"]),
+        errors.DivergenceError(1.5),
+        errors.DivergenceError(0.25, "node 3 ran away"),
+    ]
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, SmcLabError)}
+    assert classes == {type(e) for e in made}
+    for e in made:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e)
+        assert str(back) == str(e)
+        assert getattr(back, "errors", None) == getattr(e, "errors", None)
+        assert getattr(back, "t", None) == getattr(e, "t", None)
 
 
 # ------------------------------------------------------------------ suite

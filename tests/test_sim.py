@@ -61,6 +61,25 @@ def test_rk4_exponential_step():
     assert abs(out[0] - math.exp(-0.1)) <= 1e-7
     assert repr(float(out[0])) == "0.9048375"
 
+    # the two-float (one-node) branch gives each component the bits of the
+    # one-element list path
+    def neg(y, t):
+        return [-a for a in y]
+
+    pair = rk4_step(neg, [1.0, 2.0], 0.0, 0.1)
+    singles = [rk4_step(neg, [a], 0.0, 0.1)[0] for a in (1.0, 2.0)]
+    assert pair.tobytes() == np.array(singles).tobytes()
+
+    # and, with coupled components and a time-dependent derivative, the bits
+    # of the list path on the same state padded to three entries
+    def pendulum(y, t):
+        return [y[1], -math.sin(y[0]) - 0.3 * y[1] + math.cos(t)] + [0.0] * (len(y) - 2)
+
+    for state in ([0.5, -0.2], [-3.0, 7.5], [1e-300, -0.0]):
+        two = rk4_step(pendulum, state, 0.3, 0.01)
+        three = rk4_step(pendulum, state + [0.0], 0.3, 0.01)
+        assert two.tobytes() == three[:2].tobytes()
+
 
 def test_rk4_fourth_order_convergence():
     def global_error(dt):
@@ -81,6 +100,12 @@ def test_rk4_rejects_bad_dt_and_flags_divergence():
     with pytest.raises(DivergenceError) as err:
         rk4_step(lambda y, t: np.array([np.inf]), np.array([1.0]), 0.5, 0.1)
     assert err.value.t == 0.5
+    for state in ([1.0, 2.0], np.array([1.0, 2.0])):
+        with pytest.raises(DivergenceError) as err:
+            rk4_step(lambda y, t: [math.inf, 0.0], state, 0.75, 0.1)
+        assert err.value.t == 0.75
+        out = rk4_step(lambda y, t: [1.0, -1.0], state, 0.75, 0.1)
+        assert type(out) is np.ndarray and out.shape == (2,)
 
 
 # ------------------------------------------------------- disturbance, noise
@@ -178,6 +203,9 @@ def test_delay_line_zero_tau_passthrough():
     line = DelayLine(0.0, 1e-3)
     assert line.n == 0
     assert line.push(3.5) == 3.5
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ConfigError):
+            DelayLine(bad, 1e-3)
 
 
 # ------------------------------------------------- derivative estimation
@@ -600,8 +628,9 @@ def test_timeseries_rejects_a_table_that_is_not_a_run_layout():
 
 
 def test_write_csv_peak_memory_stays_small(tmp_path):
-    """Rows are converted one at a time: a whole-table ``tolist()`` of this
-    20,001-row run would hold about 7 MB of Python floats at once."""
+    """Cells are converted about CSV_BLOCK at a time: a whole-table
+    ``tolist()`` of this 20,001-row run would hold about 7 MB of Python
+    floats at once."""
     ts = simulate_run(scenarios.validate(_pendulum_raw(sim={"dt": 1e-3, "t_final": 20.0})))
     assert ts.n_samples == 20001
     tracemalloc.start()
@@ -650,6 +679,50 @@ def test_property_csv_write_read_write_is_byte_identical(ts):
         back.write_csv(second)
         assert first.read_bytes() == second.read_bytes()
     assert back.n_nodes == ts.n_nodes and back.diverged == ts.diverged
+
+
+def _reference_write_csv(ts, path):
+    """The row-at-a-time writer that write_csv replaced, kept as its reference."""
+    with open(path, "w", newline="") as f:
+        if ts.diverged:
+            f.write(f"# diverged_at={ts.diverged_at!r}\n")
+        f.write(",".join(ts.column_names()) + "\n")
+        for row in ts.table:
+            f.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+@st.composite
+def _repetitive_series(draw):
+    """A series spanning up to three full CSV blocks and a partial one, whose
+    columns repeat each other over some rows, hold a constant, or equal
+    another column up to the sign of its zeros."""
+    n_nodes = draw(st.sampled_from([1, 2]))
+    width = 2 + 7 * n_nodes
+    n_samples = draw(st.integers(1, 3 * (sim.CSV_BLOCK // width) + 1))
+    values = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    table = draw(arrays(float, (n_samples, width), elements=values, fill=values))
+    rows = st.integers(0, n_samples)
+    for j in range(width):
+        how = draw(st.sampled_from(["keep", "copy", "constant", "flip zeros"]))
+        k = draw(st.integers(0, width - 1))
+        lo, hi = sorted((draw(rows), draw(rows)))
+        if how == "copy":
+            table[lo:hi, j] = table[lo:hi, k]
+        elif how == "constant":
+            table[:, j] = draw(values)
+        elif how == "flip zeros":
+            table[:, j] = np.where(table[:, k] == 0.0, -table[:, k], table[:, k])
+    return TimeSeries(table, diverged_at=draw(st.none() | values))
+
+
+@settings(deadline=None, max_examples=60)
+@given(ts=_repetitive_series())
+def test_property_write_csv_matches_the_row_at_a_time_writer(ts):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        ts.write_csv(got)
+        _reference_write_csv(ts, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @st.composite
