@@ -119,8 +119,12 @@ def load_scenario(path) -> Scenario:
     return validate(read_document(path))
 
 
-def _float(val, path: str, errors: list) -> float | None:
-    """``float(val)``, or None with a message for an int too large for a float."""
+def _number(val, path: str, errors: list) -> float | None:
+    """``float(val)`` of a JSON number, or None with a message for a bool,
+    a non-number or an int too large for a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        errors.append(f"{path}: expected a number")
+        return None
     try:
         return float(val)
     except OverflowError:
@@ -143,16 +147,14 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
         # a field whose default is a params object takes a JSON object
         elif dataclasses.is_dataclass(valid[name].default):
             kwargs[name] = _build(type(valid[name].default), val, f"{path}.{key}", errors)
-        elif isinstance(val, bool):
-            errors.append(f"{path}.{key}: expected a number")
         # annotations are strings under postponed evaluation
-        elif valid[name].type in (int, "int"):
+        elif valid[name].type in (int, "int") and not isinstance(val, bool):
             if isinstance(val, int):
                 kwargs[name] = val
             else:
                 errors.append(f"{path}.{key}: expected an integer")
         elif isinstance(val, (int, float)):
-            kwargs[name] = _float(val, f"{path}.{key}", errors)
+            kwargs[name] = _number(val, f"{path}.{key}", errors)
         elif isinstance(val, str) and valid[name].type in (str, "str"):
             kwargs[name] = val
         else:
@@ -166,27 +168,26 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
     return None
 
 
-def _parse_controller_entry(entry, n_path: str, errors: list):
+def _named(entry, path: str, errors: list, kind: str, names, param_type):
+    """``(name, params)`` of a ``{"name": ..., <params>}`` table naming one
+    of ``names``, or None with its messages.  A name whose params type is
+    NoneType takes no parameters."""
     if not isinstance(entry, dict):
-        errors.append(f"{n_path}: expected an object")
+        errors.append(f"{path}: expected an object")
         return None
     name = entry.get("name")
-    if name not in controllers.CONTROLLER_NAMES:
-        errors.append(
-            f"{n_path}.name: unknown controller {name!r}, expected one of "
-            f"{controllers.CONTROLLER_NAMES}"
-        )
+    if name not in names:
+        errors.append(f"{path}.name: unknown {kind} {name!r}, expected one of {names}")
         return None
     table = {k: v for k, v in entry.items() if k != "name"}
-    if name == "none":
+    cls = param_type(name)
+    if cls is type(None):
         if table:
-            errors.append(f"{n_path}: controller 'none' takes no parameters")
+            errors.append(f"{path}: {kind} {name!r} takes no parameters")
             return None
-        return (name, None)
-    params = _build(controllers.param_type(name), table, n_path, errors, _ALIASES)
-    if params is None:
-        return None
-    return (name, params)
+        return name, None
+    params = _build(cls, table, path, errors, _ALIASES)
+    return None if params is None else (name, params)
 
 
 def validate(raw) -> Scenario:
@@ -210,25 +211,17 @@ def validate(raw) -> Scenario:
         errors.append("name: required, letters/digits/._- only")
         name = "invalid"
 
-    plant_name = None
-    plant_params = None
-    plant_raw = raw.get("plant")
-    if not isinstance(plant_raw, dict) or "name" not in plant_raw:
-        errors.append("plant: required object with a 'name' entry")
+    plant = None
+    if raw.get("plant") is None:
+        errors.append("plant: required")
     else:
-        plant_name = plant_raw["name"]
-        if plant_name not in plants.PLANT_NAMES:
-            errors.append(
-                f"plant.name: unknown plant {plant_name!r}, expected one of "
-                f"{plants.PLANT_NAMES}"
-            )
-        else:
-            table = {k: v for k, v in plant_raw.items() if k != "name"}
-            plant_params = _build(
-                plants.param_type(plant_name), table, "plant", errors
-            )
+        plant = _named(raw["plant"], "plant", errors, "plant", plants.PLANT_NAMES,
+                       plants.param_type)
+    n_nodes = None if plant is None else plants.node_count(*plant)
 
-    n_nodes = None if plant_params is None else plants.node_count(plant_name, plant_params)
+    def law(entry, path):
+        return _named(entry, path, errors, "controller", controllers.CONTROLLER_NAMES,
+                      controllers.param_type)
 
     # a list of per-node (name, params) pairs, or one pair for every node;
     # the per-node tuples are built only for a valid scenario, so an
@@ -238,31 +231,26 @@ def validate(raw) -> Scenario:
     if ctrl_raw is None:
         errors.append("controller: required")
     elif isinstance(ctrl_raw, list):
-        ctrl = [
-            _parse_controller_entry(entry, f"controller[{i}]", errors)
-            for i, entry in enumerate(ctrl_raw)
-        ]
+        ctrl = [law(entry, f"controller[{i}]") for i, entry in enumerate(ctrl_raw)]
         if n_nodes is not None and len(ctrl) != n_nodes:
             errors.append(
                 f"controller: expected {n_nodes} entries for plant "
-                f"'{plant_name}', got {len(ctrl)}"
+                f"'{plant[0]}', got {len(ctrl)}"
             )
     else:
-        ctrl = _parse_controller_entry(ctrl_raw, "controller", errors)
+        ctrl = law(ctrl_raw, "controller")
 
     x0_raw = raw.get("x0")
     x0: tuple[float, ...] = ()
-    if not isinstance(x0_raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x0_raw
-    ):
+    if not isinstance(x0_raw, list):
         errors.append("x0: required list of numbers")
     else:
-        x0 = tuple(_float(v, f"x0[{i}]", errors) for i, v in enumerate(x0_raw))
+        x0 = tuple(_number(v, f"x0[{i}]", errors) for i, v in enumerate(x0_raw))
         if any(v is not None and not math.isfinite(v) for v in x0):
             errors.append("x0: entries must be finite")
         if n_nodes is not None and len(x0) != 2 * n_nodes:
             errors.append(
-                f"x0: expected length {2 * n_nodes} for plant '{plant_name}', "
+                f"x0: expected length {2 * n_nodes} for plant '{plant[0]}', "
                 f"got {len(x0)}"
             )
 
@@ -288,18 +276,15 @@ def validate(raw) -> Scenario:
         errors.append("estimate_velocity: expected true or false")
         est = False
 
-    cutoff = raw.get("velocity_filter_cutoff_hz", 20.0)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)):
+    cutoff = _number(raw.get("velocity_filter_cutoff_hz", 20.0),
+                     "velocity_filter_cutoff_hz", errors)
+    if cutoff is not None and not (math.isfinite(cutoff) and cutoff > 0):
         errors.append("velocity_filter_cutoff_hz: expected a number > 0")
-    else:
-        cutoff = _float(cutoff, "velocity_filter_cutoff_hz", errors)
-        if cutoff is not None and not (math.isfinite(cutoff) and cutoff > 0):
-            errors.append("velocity_filter_cutoff_hz: expected a number > 0")
-        # the filter's 2 pi f dt, as LowPassDifferentiator computes it
-        elif cutoff is not None and sim_cfg is not None and not math.isfinite(
-                2.0 * math.pi * cutoff * sim_cfg.dt):
-            errors.append("velocity_filter_cutoff_hz: 2 pi cutoff sim.dt "
-                          "overflows a float")
+    # the filter's 2 pi f dt, as LowPassDifferentiator computes it
+    elif cutoff is not None and sim_cfg is not None and not math.isfinite(
+            2.0 * math.pi * cutoff * sim_cfg.dt):
+        errors.append("velocity_filter_cutoff_hz: 2 pi cutoff sim.dt "
+                      "overflows a float")
 
     views_raw = raw.get("views", ["state"])
     if not isinstance(views_raw, list) or not views_raw \
@@ -318,8 +303,8 @@ def validate(raw) -> Scenario:
     ctrl_names, ctrl_params = zip(*(ctrl if isinstance(ctrl, list) else [ctrl] * n_nodes))
     return Scenario(
         name=name,
-        plant=plant_name,
-        plant_params=plant_params,
+        plant=plant[0],
+        plant_params=plant[1],
         controller=ctrl_names,
         controller_params=ctrl_params,
         x0=x0,

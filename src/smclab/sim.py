@@ -158,8 +158,7 @@ class DelayLine:
     """
 
     def __init__(self, tau: float, dt: float, fill=0.0):
-        if not tau >= 0:
-            raise ConfigError("delay tau must be >= 0")
+        check_ranges(nonnegative={"delay tau": tau}, positive={"dt": dt})
         # round() guards against 0.01/0.001 style quotients landing above
         # the intended integer by one ulp; no run pushes more than
         # MAX_STEPS + 1 values, so a longer delay only ever emits the fill
@@ -184,9 +183,9 @@ class LowPassDifferentiator:
     """
 
     def __init__(self, cutoff_hz: float, dt: float):
-        if not (math.isfinite(cutoff_hz) and cutoff_hz > 0):
-            raise ConfigError("derivative filter cutoff must be > 0")
         r = 2.0 * math.pi * cutoff_hz * dt
+        check_ranges(positive={"derivative filter cutoff": cutoff_hz, "dt": dt},
+                     finite={"2 pi cutoff dt": r})
         self.a = r / (r + 1.0)
         self.dt = dt
         self._prev = None

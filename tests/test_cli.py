@@ -244,6 +244,7 @@ def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario,override,message", [
     (FIG1, "views=[[1]]", "views: expected a non-empty list drawn from"),
+    (FIG1, "plant=1", "plant: expected an object"),
     ("fig4_network5_observer_free", "plant.node=1", "plant.node: expected an object"),
 ])
 def test_run_json_value_of_the_wrong_shape_is_config_error(tmp_path, capsys, scenario,

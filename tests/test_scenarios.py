@@ -111,6 +111,16 @@ def test_integers_too_large_for_a_float_are_violations():
         "x0[1]: expected a finite number",
         "velocity_filter_cutoff_hz: expected a finite number",
     ]
+    # a bool or a string is not a number either, in a list or on its own
+    raw = _fig1_raw()
+    raw["x0"] = [0.5, True]
+    raw["velocity_filter_cutoff_hz"] = "20"
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == [
+        "x0[1]: expected a number",
+        "velocity_filter_cutoff_hz: expected a number",
+    ]
 
 
 def test_unchecked_node_count_allocates_nothing_per_node():
@@ -220,6 +230,38 @@ def test_a_document_needs_only_name_plant_controller_and_x0():
             validate({k: v for k, v in raw.items() if k != key})
         assert len(err.value.errors) == 1
         assert err.value.errors[0].startswith(f"{key}: required"), err.value.errors
+
+
+@pytest.mark.parametrize("table", ["plant", "controller", "controller[2]"])
+@pytest.mark.parametrize("fault", ["not an object", "no name", "unknown name",
+                                   "unknown key", "string for a number"])
+def test_plant_and_controller_tables_give_one_message_per_fault(table, fault):
+    # the same fault in the plant object, the one controller object and
+    # the third entry of a per-node controller list
+    if table == "controller[2]":
+        raw = _suite_by_name()["fig4_network5_observer_free"].to_dict()
+        raw["controller"] = [dict(raw["controller"]) for _ in range(5)]
+        holder, key = raw["controller"], 2
+    else:
+        raw = holder = _fig1_raw()
+        key = table
+    kind, names, number = (("plant", plants.PLANT_NAMES, "a") if table == "plant"
+                           else ("controller", controllers.CONTROLLER_NAMES, "k1"))
+    entry = dict(holder[key])
+    expected = {
+        "not an object": (1, f"{table}: expected an object"),
+        "no name": ({k: v for k, v in entry.items() if k != "name"},
+                    f"{table}.name: unknown {kind} None, expected one of {names}"),
+        "unknown name": ({**entry, "name": "lorenz"},
+                         f"{table}.name: unknown {kind} 'lorenz', expected one of {names}"),
+        "unknown key": ({**entry, "bogus": 1.0}, f"{table}.bogus: unknown parameter"),
+        "string for a number": ({**entry, number: "abc"},
+                                f"{table}.{number}: unsupported value type"),
+    }
+    holder[key], message = expected[fault]
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == [message]
 
 
 def test_x0_length_checked_against_plant():

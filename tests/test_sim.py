@@ -206,6 +206,11 @@ def test_delay_line_zero_tau_passthrough():
     for bad in (-1e-3, math.nan):
         with pytest.raises(ConfigError):
             DelayLine(bad, 1e-3)
+    # a zero, negative or nan step would divide by zero, build a FIFO of
+    # negative depth that never pops, or fail to round
+    for bad_dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ConfigError, match=r"^dt must be > 0$"):
+            DelayLine(0.01, bad_dt)
 
 
 # ------------------------------------------------- derivative estimation
@@ -264,6 +269,14 @@ def test_vector_differentiator_matches_scalar_filters():
 def test_low_pass_differentiator_rejects_bad_cutoff():
     with pytest.raises(ConfigError):
         LowPassDifferentiator(0.0, 1e-3)
+    # a zero step divides by zero at the second update, a negative one
+    # flips the coefficient's sign and a nan one makes every output nan
+    for bad_dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ConfigError, match=r"^dt must be > 0"):
+            LowPassDifferentiator(20.0, bad_dt)
+    # 2 pi cutoff dt overflows to inf, and inf / (inf + 1) is nan
+    with pytest.raises(ConfigError, match=r"^2 pi cutoff dt must be finite$"):
+        LowPassDifferentiator(1e308, 1.0)
 
 
 # -------------------------------------------------------------- run loop
