@@ -25,10 +25,10 @@ _TICKS = 6      # most ticks per axis
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    if span <= 0:
+    # one tick where the span, its sixth or the sixth's power of ten is 0
+    mag = 10.0 ** math.floor(math.log10(span / _TICKS)) if span / _TICKS > 0 else 0.0
+    if mag == 0.0:
         return [lo]
-    raw = span / _TICKS
-    mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (mult * mag) <= _TICKS:
@@ -46,25 +46,38 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _axis(values: np.ndarray, margin: float = 0.0) -> tuple[float, float]:
+    """The ends of an axis over ``values``: ``margin`` of their span beyond
+    each, or +-1 around a flat range, +-|v| / 16 where 1 would vanish in
+    rounding; flat ends stay within the largest float."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        pad = 1.0 if abs(lo) < 2.0 ** 52 else abs(lo) / 16
+        big = sys.float_info.max
+        return max(lo - pad, -big), min(hi + pad, big)
+    pad = margin * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, body, size=11, fill="#333333", anchor="middle", extra="") -> str:
+    """``body`` escaped at (x, y); an ``x`` given as a string is written as is."""
+    x = x if isinstance(x, str) else f"{x:.2f}"
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y:.2f}" font-size="{size}"{anchor} fill="{fill}"{extra}>'
+            f'{html.escape(str(body), quote=False)}</text>')
+
+
 def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
     """Self-contained SVG line chart over t; traces are (label, xs, ys) triples."""
     width, height = 800.0, 480.0
     ml, mr, mt, mb = 72.0, 16.0, 36.0, 48.0
-    xs_all = np.concatenate([np.asarray(t[1], dtype=float) for t in traces])
-    ys_all = np.concatenate([np.asarray(t[2], dtype=float) for t in traces])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        # +-1 around a flat trace, or +-|y| / 16 where 1 would vanish in
-        # rounding; the ends stay within the largest float
-        pad = 1.0 if abs(y_lo) < 2.0 ** 52 else abs(y_lo) / 16
-        big = sys.float_info.max
-        y_lo, y_hi = max(y_lo - pad, -big), min(y_hi + pad, big)
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _axis(np.concatenate([np.asarray(t[1], dtype=float) for t in traces]))
+    y_lo, y_hi = _axis(np.concatenate([np.asarray(t[2], dtype=float) for t in traces]), 0.05)
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise SmcLabError("the plotted values span more than a float can hold")
 
@@ -82,29 +95,18 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
     ]
     for tick in _nice_ticks(x_lo, x_hi):
         x = px(tick)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{mt:.2f}" x2="{x:.2f}" '
-            f'y2="{height - mb:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{height - mb + 16:.2f}" font-size="11" '
-            f'text-anchor="middle" fill="#333333">{tick:g}</text>'
-        )
+        parts += (_line(x, mt, x, height - mb, "#dddddd", 1),
+                  _text(x, height - mb + 16, f"{tick:g}"))
     for tick in _nice_ticks(y_lo, y_hi):
         y = py(tick)
-        parts.append(
-            f'<line x1="{ml:.2f}" y1="{y:.2f}" x2="{width - mr:.2f}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 6:.2f}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="end" fill="#333333">{tick:g}</text>'
-        )
+        parts += (_line(ml, y, width - mr, y, "#dddddd", 1),
+                  _text(ml - 6, y + 4, f"{tick:g}", anchor="end"))
     parts.append(
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{width - ml - mr:.2f}" '
         f'height="{height - mt - mb:.2f}" fill="none" stroke="#333333"/>'
     )
 
+    legend = []
     for i, (label, xs, ys) in enumerate(traces):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -115,52 +117,28 @@ def render_line_svg(traces, title: str = "", ylabel: str = "") -> str:
         pts = " ".join(map("{:.2f},{:.2f}".format,
                            px(xs[idx]).tolist(), py(ys[idx]).tolist()))
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-
-    for i, (label, _, _) in enumerate(traces):
-        color = _PALETTE[i % len(_PALETTE)]
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.5"/>')
         y = mt + 16 + 16 * i
-        parts.append(
-            f'<line x1="{width - mr - 150:.2f}" y1="{y:.2f}" '
-            f'x2="{width - mr - 126:.2f}" y2="{y:.2f}" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{width - mr - 120:.2f}" y="{y + 4:.2f}" font-size="11" '
-            f'fill="#333333">{html.escape(str(label), quote=False)}</text>'
-        )
+        legend += (_line(width - mr - 150, y, width - mr - 126, y, color, 2),
+                   _text(width - mr - 120, y + 4, label, anchor=""))
+    parts += legend
 
     if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="{mt - 12:.2f}" font-size="14" '
-            f'text-anchor="middle" fill="#111111">'
-            f'{html.escape(title, quote=False)}</text>'
-        )
-    parts.append(
-        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" '
-        f'font-size="12" text-anchor="middle" fill="#111111">t [s]</text>'
-    )
+        parts.append(_text(width / 2, mt - 12, title, 14, "#111111"))
+    parts.append(_text((ml + width - mr) / 2, height - 10, "t [s]", 12, "#111111"))
     if ylabel:
-        parts.append(
-            f'<text x="16" y="{(mt + height - mb) / 2:.2f}" font-size="12" '
-            f'text-anchor="middle" fill="#111111" '
-            f'transform="rotate(-90 16 {(mt + height - mb) / 2:.2f})">'
-            f'{html.escape(ylabel, quote=False)}</text>'
-        )
+        mid = (mt + height - mb) / 2
+        parts.append(_text("16", mid, ylabel, 12, "#111111",
+                           extra=f' transform="rotate(-90 16 {mid:.2f})"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def _node_traces(ts: sim.TimeSeries, base: str):
     """(name, t, column) for each node's ``base`` column: x, or x1 .. xn."""
-    return [
-        (name, ts.t, ts.column(name))
-        for name in ts.column_names()
-        if name.rstrip("0123456789") == base
-    ]
+    return [(name, ts.t, ts.table[:, j]) for j, name in enumerate(ts.column_names())
+            if name.rstrip("0123456789") == base]
 
 
 def write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path) -> list[Path]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from smclab import cli, scenarios, sim
@@ -191,6 +192,19 @@ def test_run_diverging_on_flat_huge_values_writes_its_figure(tmp_path, capsys):
 
     for y in (1e308, -1e308, sys.float_info.max, -sys.float_info.max):
         svg = cli.render_line_svg([("x", [0.0, 1.0], [y, y])])
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+        assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", points))
+
+
+def test_plot_flat_t_beyond_2_53_draws(tmp_path, capsys):
+    # one row at t = 2^53 + 4, where a pad of 1 rounds back to t itself
+    path = tmp_path / "one.csv"
+    sim.TimeSeries(np.array([[9007199254740996.0, 1.0, 0, 0, 0, 0, 0, 0, 0]])).write_csv(path)
+    out = tmp_path / "one.svg"
+    assert main(["plot", str(path), "--columns", "x", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    for t in (2.0 ** 52, 2.0 ** 53, 9007199254740996.0, -sys.float_info.max):
+        svg = cli.render_line_svg([("x", [t, t], [0.0, 1.0])])
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
         assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", points))
 
@@ -469,6 +483,19 @@ def test_plot_non_finite_values_are_config_errors(tmp_path, capsys):
     ts.write_csv(path)
     assert main(["plot", str(path), "--columns", "x"]) == 2
     assert "span more than a float can hold" in _one_line_error(capsys)
+
+
+def test_plot_span_whose_ticks_underflow(tmp_path, capsys):
+    # a sixth of 5e-324 rounds to 0, and the power of ten of 3e-323 / 6 to 0
+    for top in (5e-324, 3e-323):
+        ts = sim.TimeSeries(np.zeros((2, 9)))
+        ts.table[:, 0] = [0.0, 1.0]
+        ts.table[1, 1] = top
+        path, out = tmp_path / "tiny.csv", tmp_path / "p.svg"
+        ts.write_csv(path)
+        assert main(["plot", str(path), "--columns", "x", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text().count("<polyline") == 1
 
 
 def test_plot_empty_columns(fig1_csv, capsys):
