@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration problem, 3 divergence or overflow,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -38,57 +37,8 @@ def _make_dir(path: Path) -> None:
         raise SmcLabError(f"cannot create output directory {path}: {exc}") from None
 
 
-def _parse_override(text: str):
-    if "=" not in text:
-        raise SmcLabError(f"override '{text}' must look like path.to.key=value")
-    path, raw_value = text.split("=", 1)
-    keys = [k for k in path.strip().split(".") if k]
-    if not keys:
-        raise SmcLabError(f"override '{text}' has an empty key path")
-    try:
-        value = json.loads(raw_value)
-    except json.JSONDecodeError:
-        value = raw_value
-    return keys, value
-
-
-def _apply_override(raw: dict, keys, value, source: str):
-    if not isinstance(raw, dict):
-        raise SmcLabError(f"override '{source}': the scenario is not a JSON object")
-    node = raw
-    for key in keys[:-1]:
-        child = node.get(key)
-        if child is None:
-            child = {}
-            node[key] = child
-        if not isinstance(child, dict):
-            raise SmcLabError(
-                f"override '{source}': '{key}' does not address an object"
-            )
-        node = child
-    node[keys[-1]] = value
-
-
-def _load_raw_scenario(ref: str) -> dict:
-    path = Path(ref)
-    if os.path.exists(path):    # False, not OSError, for a name too long
-        return scenarios.read_document(path)
-    for sc in scenarios.builtin_suite():
-        if sc.name == ref:
-            return sc.to_dict()
-    raise SmcLabError(
-        f"'{ref}' is neither a readable file nor a built-in scenario name"
-    )
-
-
 def cmd_run(args) -> int:
-    raw = _load_raw_scenario(args.scenario)
-    if args.dt is not None:
-        _apply_override(raw, ["sim", "dt"], args.dt, "--dt")
-    for text in args.set or []:
-        keys, value = _parse_override(text)
-        _apply_override(raw, keys, value, text)
-    scenario = scenarios.validate(raw)
+    scenario = scenarios.validate(scenarios.document(args.scenario, args.set or ()))
 
     out_dir = _out_dir(args.out_dir)
     _make_dir(out_dir)
@@ -169,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", help=f"output directory (default ${OUT_ENV_VAR} or ./{DEFAULT_OUT})")
     p_run.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="dotted-path override, e.g. controller.lambda=5")
-    p_run.add_argument("--dt", type=float, help="shorthand for --set sim.dt=DT")
     p_run.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
     p_run.set_defaults(func=cmd_run)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +43,7 @@ DELAY_PROBE_TAU = 0.01
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # JSON key aliases for reserved or awkward Python names
 _ALIASES = {"lambda": "lam"}
-_ALIASES_BACK = {"lam": "lambda"}
+_ALIASES_BACK = {v: k for k, v in _ALIASES.items()}
 
 
 @dataclass
@@ -117,6 +118,45 @@ def read_document(path):
 
 def load_scenario(path) -> Scenario:
     return validate(read_document(path))
+
+
+def document(ref, overrides=()):
+    """The raw document that ``smclab run REF --set TEXT...`` validates.
+
+    ``ref`` is a file if one exists at that path (a file beats a built-in
+    name), else the name of a built-in scenario.  Each ``path.to.key=value``
+    text in ``overrides`` is applied in order: the value is JSON, or the
+    raw string when it is not JSON, and a missing or null table on the
+    path becomes ``{}``.  Raises a one-line SmcLabError."""
+    path = Path(ref)
+    if os.path.exists(path):    # False, not OSError, for a name too long
+        raw = read_document(path)
+    else:
+        raw = next((sc.to_dict() for sc in builtin_suite() if sc.name == ref), None)
+        if raw is None:
+            raise SmcLabError(f"'{ref}' is neither a readable file nor a built-in scenario name")
+    for text in overrides:
+        dotted, eq, value = text.partition("=")
+        if not eq:
+            raise SmcLabError(f"override '{text}' must look like path.to.key=value")
+        keys = [k for k in dotted.strip().split(".") if k]
+        if not keys:
+            raise SmcLabError(f"override '{text}' has an empty key path")
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+        if not isinstance(raw, dict):
+            raise SmcLabError(f"override '{text}': the scenario is not a JSON object")
+        node = raw
+        for key in keys[:-1]:
+            if node.get(key) is None:
+                node[key] = {}
+            node = node[key]
+            if not isinstance(node, dict):
+                raise SmcLabError(f"override '{text}': '{key}' does not address an object")
+        node[keys[-1]] = value
+    return raw
 
 
 def _number(val, path: str, errors: list) -> float | None:

@@ -75,11 +75,20 @@ def test_run_writes_the_scenarios_views(tmp_path, capsys):
 
 
 def test_run_rejects_zero_dt(tmp_path, capsys):
-    code = main(["run", FIG1, "--out-dir", str(tmp_path), "--dt", "0"])
+    code = main(["run", FIG1, "--out-dir", str(tmp_path), "--set", "sim.dt=0"])
     assert code == 2
     err = capsys.readouterr().err
     assert "dt must be positive" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_run_has_no_dt_option(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", FIG1, "--dt", "0.002", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt 0.002" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_set_override_reaches_metrics(tmp_path):

@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smclab import controllers, errors, plants, scenarios, sim
@@ -326,6 +326,100 @@ def test_load_scenario_reports_an_unreadable_file_in_one_line(tmp_path):
         with pytest.raises(SmcLabError, match=message) as err:
             load_scenario(path)
         assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
+
+
+def test_a_file_beats_a_builtin_name(tmp_path, monkeypatch):
+    raw = _fig1_raw()
+    raw["name"] = "from_file"
+    (tmp_path / "fig1_pendulum_observer_free").write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    assert scenarios.document("fig1_pendulum_observer_free") == raw
+    assert validate(scenarios.document("fig1_pendulum_observer_free")).name == "from_file"
+
+
+# the override rule as the command line applied it before scenarios.document
+def _reference_parse_override(text: str):
+    if "=" not in text:
+        raise SmcLabError(f"override '{text}' must look like path.to.key=value")
+    path, raw_value = text.split("=", 1)
+    keys = [k for k in path.strip().split(".") if k]
+    if not keys:
+        raise SmcLabError(f"override '{text}' has an empty key path")
+    try:
+        value = json.loads(raw_value)
+    except json.JSONDecodeError:
+        value = raw_value
+    return keys, value
+
+
+def _reference_apply_override(raw: dict, keys, value, source: str):
+    if not isinstance(raw, dict):
+        raise SmcLabError(f"override '{source}': the scenario is not a JSON object")
+    node = raw
+    for key in keys[:-1]:
+        child = node.get(key)
+        if child is None:
+            child = {}
+            node[key] = child
+        if not isinstance(child, dict):
+            raise SmcLabError(
+                f"override '{source}': '{key}' does not address an object"
+            )
+        node = child
+    node[keys[-1]] = value
+
+
+_DOC_KEYS = st.sampled_from(["a", "b", "sim", "dt", "controller"])
+_DOC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.dictionaries(_DOC_KEYS, inner, max_size=3) | st.lists(inner, max_size=2),
+    max_leaves=8,
+)
+_DICT_DOCS = st.dictionaries(_DOC_KEYS, _DOC_VALUES, max_size=4)
+# most paths then pass through a null or non-object table
+_FLAT_DOCS = st.dictionaries(_DOC_KEYS, st.none() | st.integers(-3, 3) | st.lists(st.none(), max_size=1),
+                             min_size=3)
+_DOCS = st.one_of(_DICT_DOCS, _FLAT_DOCS, st.lists(_DOC_VALUES, max_size=2), st.text(max_size=3))
+_SEGMENTS = st.sampled_from(["a", "b", "sim", "dt", "controller", "lambda", "", " ", " a ", "sim "])
+# "" leaves out the "="; "a=b" puts a second one in the value
+_VALUE_TEXTS = st.sampled_from([
+    "=1", "=0.5", "=null", "={}", '={"a": 1}', "=[1, 2]", '="x"', "=true", "=x", "=",
+    "= 2 ", "=NaN", "=1e999", "=-Infinity", "={bad", "=a=b", "=[1,", "",
+]) | st.text(max_size=4).map(lambda v: "=" + v)
+_OVERRIDES = st.builds(lambda segments, value: ".".join(segments) + value,
+                       st.lists(_SEGMENTS, min_size=1, max_size=3), _VALUE_TEXTS)
+
+
+def _outcome(make):
+    try:
+        return "ok", repr(make())
+    except SmcLabError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS | st.just(None), texts=st.lists(_OVERRIDES, max_size=3))
+@example(doc={"a": None}, texts=["a.b=1"])
+@example(doc={"a": 1}, texts=["b.c. d =x", "a.b=2"])
+@example(doc=None, texts=["nonsense"])
+@example(doc=None, texts=["=1"])
+@example(doc=[1], texts=["name=x"])
+@example(doc=None, texts=["sim.dt.x=1"])
+def test_document_applies_overrides_as_the_reference_does(tmp_path_factory, doc, texts):
+    if doc is None:     # the built-in name, not a file
+        ref, raw = "fig1_pendulum_observer_free", _fig1_raw()
+    else:
+        ref = tmp_path_factory.getbasetemp() / "override_doc.json"
+        ref.write_text(json.dumps(doc))
+        raw = json.loads(ref.read_text())
+
+    def reference():
+        for text in texts:
+            keys, value = _reference_parse_override(text)
+            _reference_apply_override(raw, keys, value, text)
+        return raw
+
+    assert _outcome(lambda: scenarios.document(str(ref), texts)) == _outcome(reference)
 
 
 # any JSON value json.loads can give: ints beyond a float, nan and +-inf too
