@@ -30,18 +30,11 @@ def _out_dir(flag_value) -> Path:
     return Path(os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT)
 
 
-def _make_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SmcLabError(f"cannot create output directory {path}: {exc}") from None
-
-
 def cmd_run(args) -> int:
     scenario = scenarios.validate(scenarios.document(args.scenario, args.set or ()))
 
     out_dir = _out_dir(args.out_dir)
-    _make_dir(out_dir)
+    scenarios.make_dir(out_dir)
     ts, report, why = scenarios.run(scenario)
     views = () if args.no_svg else scenario.views
     for path in scenarios.write_run(scenario.name, ts, views, out_dir, report):
@@ -54,10 +47,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.parallelism < 1:
-        raise SmcLabError("--parallelism must be >= 1")
     out_dir = _out_dir(args.out_dir)
-    _make_dir(out_dir)
     result = scenarios.run_suite(scenarios.builtin_suite(), out_dir,
                                  parallelism=args.parallelism)
 
@@ -96,8 +86,9 @@ def cmd_plot(args) -> int:
             traces.append((label, ts.t, ts.column(column)))
 
     out = Path(args.out) if args.out else Path(args.csv[0]).with_suffix(".plot.svg")
-    _make_dir(out.parent)
-    out.write_text(render_line_svg(traces, title=args.title or "", ylabel=",".join(columns)))
+    scenarios.make_dir(out.parent)
+    out.write_text(render_line_svg(traces, title=args.title or "", ylabel=",".join(columns)),
+                   encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -155,6 +155,6 @@ def write_views(ts: sim.TimeSeries, name: str, views, out_dir: Path) -> list[Pat
             except SmcLabError as exc:
                 print(f"skipped {path}: {exc}", file=sys.stderr)
                 continue
-            path.write_text(svg)
+            path.write_text(svg, encoding="utf-8")
             written.append(path)
     return written

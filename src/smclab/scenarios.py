@@ -40,7 +40,7 @@ from .errors import ConfigError, ScenarioValidationError, SmcLabError
 
 SCHEMA_VERSION = 1
 DELAY_PROBE_TAU = 0.01
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]+")   # names and matrix groups name files
 # JSON key aliases for reserved or awkward Python names
 _ALIASES = {"lambda": "lam"}
 _ALIASES_BACK = {v: k for k, v in _ALIASES.items()}
@@ -79,7 +79,7 @@ class Scenario:
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
-            "plant": {"name": self.plant, **dataclasses.asdict(self.plant_params)},
+            "plant": _params_to_dict(self.plant, self.plant_params),
             "controller": ctrl_entries[0] if one_setting else ctrl_entries,
             "x0": list(self.x0),
             "sim": dataclasses.asdict(self.sim),
@@ -97,12 +97,9 @@ class Scenario:
 
 
 def _params_to_dict(name: str, params) -> dict:
-    entry = {"name": name}
-    if params is None:
-        return entry
-    for f in dataclasses.fields(params):
-        entry[_ALIASES_BACK.get(f.name, f.name)] = getattr(params, f.name)
-    return entry
+    """The ``{"name": ..., <params>}`` table that :func:`_named` reads back."""
+    table = {} if params is None else dataclasses.asdict(params)
+    return {"name": name, **{_ALIASES_BACK.get(k, k): v for k, v in table.items()}}
 
 
 def read_document(path):
@@ -210,8 +207,11 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
 
 def _named(entry, path: str, errors: list, kind: str, names, param_type):
     """``(name, params)`` of a ``{"name": ..., <params>}`` table naming one
-    of ``names``, or None with its messages.  A name whose params type is
-    NoneType takes no parameters."""
+    of ``names``, or None with its messages.  A missing or null table is
+    required; a name whose params type is NoneType takes no parameters."""
+    if entry is None:
+        errors.append(f"{path}: required")
+        return None
     if not isinstance(entry, dict):
         errors.append(f"{path}: expected an object")
         return None
@@ -247,16 +247,11 @@ def validate(raw) -> Scenario:
         errors.append(f"schema: unsupported version {schema!r}, expected {SCHEMA_VERSION}")
 
     name = raw.get("name")
-    if not isinstance(name, str) or not _NAME_RE.match(name or ""):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         errors.append("name: required, letters/digits/._- only")
-        name = "invalid"
 
-    plant = None
-    if raw.get("plant") is None:
-        errors.append("plant: required")
-    else:
-        plant = _named(raw["plant"], "plant", errors, "plant", plants.PLANT_NAMES,
-                       plants.param_type)
+    plant = _named(raw.get("plant"), "plant", errors, "plant", plants.PLANT_NAMES,
+                   plants.param_type)
     n_nodes = None if plant is None else plants.node_count(*plant)
 
     def law(entry, path):
@@ -266,11 +261,8 @@ def validate(raw) -> Scenario:
     # a list of per-node (name, params) pairs, or one pair for every node;
     # the per-node tuples are built only for a valid scenario, so an
     # unchecked node count allocates nothing
-    ctrl = None
     ctrl_raw = raw.get("controller")
-    if ctrl_raw is None:
-        errors.append("controller: required")
-    elif isinstance(ctrl_raw, list):
+    if isinstance(ctrl_raw, list):
         ctrl = [law(entry, f"controller[{i}]") for i, entry in enumerate(ctrl_raw)]
         if n_nodes is not None and len(ctrl) != n_nodes:
             errors.append(
@@ -314,7 +306,6 @@ def validate(raw) -> Scenario:
     est = raw.get("estimate_velocity", False)
     if not isinstance(est, bool):
         errors.append("estimate_velocity: expected true or false")
-        est = False
 
     cutoff = _number(raw.get("velocity_filter_cutoff_hz", 20.0),
                      "velocity_filter_cutoff_hz", errors)
@@ -330,12 +321,12 @@ def validate(raw) -> Scenario:
     if not isinstance(views_raw, list) or not views_raw \
             or any(not isinstance(v, str) or v not in figures.VIEWS for v in views_raw):
         errors.append(f"views: expected a non-empty list drawn from {tuple(figures.VIEWS)}")
-        views_raw = ["state"]
 
     group = raw.get("matrix_group", "")
     if not isinstance(group, str):
         errors.append("matrix_group: expected a string")
-        group = ""
+    elif group and not _NAME_RE.fullmatch(group):
+        errors.append("matrix_group: letters/digits/._- only")
 
     if errors:
         raise ScenarioValidationError(errors)
@@ -404,11 +395,10 @@ def builtin_suite() -> list[Scenario]:
 
 
 def run_key(sc: Scenario) -> str:
-    """Identity of the physical experiment, independent of the controller."""
-    return repr((
-        sc.plant, sc.plant_params, sc.x0, sc.sim, sc.noise, sc.disturbance,
-        sc.delay, sc.estimate_velocity, sc.velocity_filter_cutoff_hz,
-    ))
+    """Identity of the physical experiment: every field but the name, the
+    controller and its params, the views and the matrix group."""
+    return repr(dataclasses.replace(sc, name="", controller=(), controller_params=(),
+                                    views=(), matrix_group=""))
 
 
 def run(sc: Scenario):
@@ -435,6 +425,14 @@ def write_run(name: str, ts: sim.TimeSeries, views, out_dir: Path, report=None) 
         written.append(out_dir / f"{name}.metrics.txt")
         written[-1].write_text(report.to_kv_text())
     return written + figures.write_views(ts, name, views, out_dir)
+
+
+def make_dir(path: Path) -> None:
+    """Create ``path`` and its parents, or raise a one-line SmcLabError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SmcLabError(f"cannot create output directory {path}: {exc}") from None
 
 
 def failure(ts: sim.TimeSeries, report) -> str | None:
@@ -500,7 +498,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
                               f"'{sc.name}' run different experiments")
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     runs = {}
     failures = {}
     groups: dict[str, dict] = {}   # group -> law -> (report, delayed report, bound)

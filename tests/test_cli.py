@@ -507,6 +507,21 @@ def test_plot_span_whose_ticks_underflow(tmp_path, capsys):
         assert out.read_text().count("<polyline") == 1
 
 
+def test_plot_writes_utf8_under_an_ascii_locale(fig1_csv, tmp_path):
+    # the SVG declares UTF-8, so a non-ASCII title must not be written in
+    # the locale's encoding; chr keeps this source ASCII for "-c"
+    out = tmp_path / "lambda.svg"
+    code = ("import sys; from smclab.cli import main; sys.exit(main(["
+            "'plot', sys.argv[1], '--columns', 'x', '--title', chr(0x3bb) + ' sweep', "
+            "'--out', sys.argv[2]]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-c", code, str(fig1_csv), str(out)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f">{chr(0x3bb)} sweep</text>" in out.read_text(encoding="utf-8")
+
+
 def test_plot_empty_columns(fig1_csv, capsys):
     code = main(["plot", str(fig1_csv), "--columns", ","])
     assert code == 2
@@ -627,6 +642,20 @@ def test_suite_rejects_bad_parallelism(tmp_path, capsys):
     code = main(["suite", "--out-dir", str(tmp_path), "--parallelism", "0"])
     assert code == 2
     assert "parallelism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("copies, args, message", [
+    (2, [], "duplicate scenario names in suite"),
+    (1, ["--parallelism", "0"], "parallelism must be >= 1"),
+])
+def test_a_rejected_suite_makes_no_directory(tmp_path, monkeypatch, capsys,
+                                             copies, args, message):
+    fig1 = {sc.name: sc for sc in scenarios.builtin_suite()}[FIG1]
+    monkeypatch.setattr(scenarios, "builtin_suite", lambda: [fig1] * copies)
+    out = tmp_path / "out"
+    assert main(["suite", "--out-dir", str(out), *args]) == 2
+    assert _one_line_error(capsys) == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- help

@@ -57,6 +57,16 @@ def test_observer_free_rejects_singular_gain():
         observer_free_control(np.nan, 0.0, 1.0, p)
 
 
+def test_observer_free_rejects_a_non_finite_gain():
+    with pytest.raises(InvalidInputError, match="g_val must be finite"):
+        observer_free_control(1.0, 0.0, math.nan, ObserverFreeParams())
+
+
+def test_super_twisting_rejects_a_zero_step():
+    with pytest.raises(InvalidInputError, match="dt must be > 0"):
+        super_twisting_control(1.0, 0.0, 0.0, SuperTwistingParams(), 0.0)
+
+
 def test_classical_sign_branches():
     p = ClassicalParams(lam_s=1.0, k=2.0)
     assert classical_smc_control(1.0, 0.0, p).u == -2.0

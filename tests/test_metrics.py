@@ -149,6 +149,30 @@ def test_lyapunov_stats_input_validation():
         lyapunov_stats(np.ones(5), np.ones(5), 0.0)
 
 
+def test_lyapunov_stats_on_one_sample_has_no_steps():
+    assert lyapunov_stats(np.ones(1), np.ones(1), DT) == (0, None)
+
+
+@pytest.mark.parametrize("dt", [0.0, -DT, math.nan])
+def test_settling_time_rejects_a_step_that_is_not_positive(dt):
+    with pytest.raises(InvalidInputError, match="dt must be > 0"):
+        settling_time(np.zeros(10), 0.02, dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sync_error_rejects_non_finite_input(bad):
+    x = np.zeros((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        sync_error(x)
+
+
+def test_a_law_outside_the_order_sorts_after_it_by_name():
+    laws = ["zeta", "observer-free", "alpha", "classical"]
+    assert sorted(laws, key=metrics._controller_sort_key) == [
+        "classical", "observer-free", "alpha", "zeta"]
+
+
 def test_sync_error_identical_nodes():
     # identical columns agree to within mean-rounding slack (one ulp each)
     x = np.tile(np.linspace(1.0, 0.0, 50)[:, None], (1, 5))

@@ -271,6 +271,51 @@ def test_x0_length_checked_against_plant():
         validate(raw)
 
 
+def test_a_document_that_is_not_an_object_is_one_violation():
+    with pytest.raises(ScenarioValidationError) as err:
+        validate([1])
+    assert err.value.errors == ["scenario: expected a JSON object"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("x0", json.loads("[Infinity, 0.0]"), "x0: entries must be finite"),
+    ("velocity_filter_cutoff_hz", 0, "velocity_filter_cutoff_hz: expected a number > 0"),
+    ("velocity_filter_cutoff_hz", -1, "velocity_filter_cutoff_hz: expected a number > 0"),
+    ("velocity_filter_cutoff_hz", math.nan,
+     "velocity_filter_cutoff_hz: expected a number > 0"),
+    ("matrix_group", 1, "matrix_group: expected a string"),
+    # a name and a matrix group name output files, so a trailing newline
+    # or a path separator is no name
+    ("name", "a\n", "name: required, letters/digits/._- only"),
+    ("matrix_group", "a/b", "matrix_group: letters/digits/._- only"),
+    ("matrix_group", "a\n", "matrix_group: letters/digits/._- only"),
+])
+def test_each_top_level_fault_is_one_violation(key, value, message):
+    raw = _fig1_raw()
+    raw[key] = value
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == [message]
+
+
+def test_a_null_per_node_controller_entry_is_required():
+    raw = _suite_by_name()["fig4_network5_observer_free"].to_dict()
+    raw["controller"] = [dict(raw["controller"]) for _ in range(5)]
+    raw["controller"][2] = None
+    with pytest.raises(ScenarioValidationError) as err:
+        validate(raw)
+    assert err.value.errors == ["controller[2]: required"]
+
+
+def test_a_none_controller_round_trips():
+    raw = _fig1_raw()
+    raw["controller"] = {"name": "none"}
+    sc = validate(raw)
+    assert sc.controller == ("none",) and sc.controller_params == (None,)
+    assert sc.to_dict()["controller"] == {"name": "none"}
+    assert validate(sc.to_dict()) == sc
+
+
 # ---------------------------------------------------------- serialization
 
 def test_every_builtin_round_trips():
@@ -595,6 +640,33 @@ def test_run_key_tracks_physics_only():
     raw4 = a.to_dict()
     raw4["plant"]["c"] = 0.2
     assert run_key(validate(raw4)) != run_key(a)
+
+
+def test_run_key_is_every_field_but_the_controller_side():
+    suite = _suite_by_name()
+    fig1 = suite["fig1_pendulum_observer_free"]
+    other = {   # a second value for every Scenario field
+        "name": "renamed",
+        "plant": "duffing",
+        "plant_params": dataclasses.replace(fig1.plant_params, c=0.2),
+        "controller": ("classical",),
+        "controller_params": (controllers.ClassicalParams(),),
+        "x0": (0.6, 0.0),
+        "sim": dataclasses.replace(fig1.sim, seed=7),
+        "noise": sim.NoiseConfig(std_x=0.01),
+        "disturbance": suite["fig7_vdp_disturbance"].disturbance,
+        "delay": sim.DelaySpec(tau=0.01),
+        "estimate_velocity": True,
+        "velocity_filter_cutoff_hz": 10.0,
+        "views": ("state", "control"),
+        "matrix_group": "",
+    }
+    assert list(other) == [f.name for f in dataclasses.fields(scenarios.Scenario)]
+    controller_side = {"name", "controller", "controller_params", "views", "matrix_group"}
+    for key, value in other.items():
+        assert getattr(fig1, key) != value, key
+        changed = run_key(dataclasses.replace(fig1, **{key: value})) != run_key(fig1)
+        assert changed == (key not in controller_side), key
 
 
 def test_every_error_class_survives_pickling():

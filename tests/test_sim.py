@@ -1,4 +1,5 @@
 """Integrator, noise, delay, derivative estimation, and the run loop."""
+import dataclasses
 import math
 import tempfile
 import tracemalloc
@@ -774,6 +775,18 @@ def test_property_noisy_delayed_estimated_run_repeats_bytes(scenario):
         right = np.ascontiguousarray(getattr(b, field))
         assert left.shape == right.shape, field
         assert left.tobytes() == right.tobytes(), field
+
+
+def test_simulate_run_checks_a_hand_built_scenario_against_its_plant():
+    # validate rules these out; simulate_run checks them for a Scenario
+    # built without it
+    fig1 = {sc.name: sc for sc in scenarios.builtin_suite()}["fig1_pendulum_observer_free"]
+    two_laws = dataclasses.replace(fig1, controller=fig1.controller * 2,
+                                   controller_params=fig1.controller_params * 2)
+    with pytest.raises(ConfigError, match=r"^expected 1 controllers, got 2$"):
+        simulate_run(two_laws)
+    with pytest.raises(ConfigError, match=r"^x0 must have length 2$"):
+        simulate_run(dataclasses.replace(fig1, x0=(0.5, 0.0, 0.1)))
 
 
 # ---------------------------------------------------------------- configs
