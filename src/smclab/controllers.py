@@ -29,6 +29,7 @@ holds it for one node, :func:`node_laws` for a run's nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -67,6 +68,15 @@ def _sign(s: float) -> float:
     return 0.0
 
 
+def _tanh_size_rule(size, exact_ok: bool) -> tuple[bool, str]:
+    """The tanh table size rule as a :func:`check_ranges` pair: an integer in
+    [TANH_TABLE_MIN, TANH_TABLE_MAX], or 0 (exact tanh) where ``exact_ok``."""
+    ok = isinstance(size, numbers.Integral) and (
+        TANH_TABLE_MIN <= size <= TANH_TABLE_MAX or exact_ok and size == 0)
+    span = f"in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]"
+    return ok, f"tanh table size must be {'0 or ' if exact_ok else ''}{span}"
+
+
 @dataclass(frozen=True)
 class ObserverFreeParams:
     k1: float = 1.0             # surface slope, alpha = v + k1 x
@@ -74,11 +84,9 @@ class ObserverFreeParams:
     tanh_table_size: int = 0    # 0 = exact tanh, 64 .. 2**16 = lookup table
 
     def __post_init__(self):
-        size = self.tanh_table_size
         check_ranges(
             positive={"observer-free k1": self.k1, "observer-free lambda": self.lam},
-            rules=[(size == 0 or TANH_TABLE_MIN <= size <= TANH_TABLE_MAX,
-                    f"tanh table size must be 0 or in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]")])
+            rules=[_tanh_size_rule(self.tanh_table_size, exact_ok=True)])
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,7 @@ def tanh_fast(alpha: float, table_size: int = 1024) -> float:
     and negative arguments are mirrored.  Max absolute error is <= 1e-3 for
     ``table_size >= 1024``.
     """
-    if not TANH_TABLE_MIN <= table_size <= TANH_TABLE_MAX:
-        raise ConfigError(f"tanh table size must lie in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]")
+    check_ranges(rules=[_tanh_size_rule(table_size, exact_ok=False)])
     return _tanh_lookup([alpha], table_size)[0]
 
 

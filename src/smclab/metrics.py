@@ -311,7 +311,8 @@ def comparison_matrix(
     ``delayed`` carries reports from tau = 10 ms reruns and feeds the
     DelayTolerant row; ``input_bounds`` maps controller names to their
     declared |u| bound (None = no a priori bound, row left informational).
-    A diverged run is False on every measured row, and a diverged delayed
+    A diverged run is False on every measured row (NoChattering,
+    BoundedInput, Smoothness), declared bound or not, and a diverged delayed
     rerun is False on DelayTolerant.
     """
     if len(reports) < 2:
@@ -327,31 +328,19 @@ def comparison_matrix(
     measured = {prop: {} for prop in MATRIX_PROPERTIES}
 
     for name in controllers:
-        rep = reports[name]
+        rep, drep, bound = reports[name], delayed.get(name), input_bounds.get(name)
         ok = not rep.diverged
-        cells["NoChattering"][name] = ok and rep.chattering_index < thresholds.chattering_max
-        measured["NoChattering"][name] = rep.chattering_index
-
-        cells["ObserverFree"][name] = is_observer_free(name)
-        measured["ObserverFree"][name] = None
-
-        bound = input_bounds.get(name)
-        cells["BoundedInput"][name] = (
-            (None if bound is None else rep.max_abs_u <= bound + 1e-12)
-            if ok else False
-        )
-        measured["BoundedInput"][name] = rep.max_abs_u
-
-        drep = delayed.get(name)
-        cells["DelayTolerant"][name] = (
-            None if drep is None
-            else not drep.diverged and drep.settling_time is not None
-        )
-        measured["DelayTolerant"][name] = (
-            None if drep is None else drep.settling_time
-        )
-
-        cells["Smoothness"][name] = ok and rep.max_slew < thresholds.slew_max
-        measured["Smoothness"][name] = rep.max_slew
+        row = {   # property -> (verdict, measured)
+            "NoChattering": (ok and rep.chattering_index < thresholds.chattering_max,
+                             rep.chattering_index),
+            "ObserverFree": (is_observer_free(name), None),
+            "BoundedInput": (ok and (None if bound is None else rep.max_abs_u <= bound + 1e-12),
+                             rep.max_abs_u),
+            "DelayTolerant": (None, None) if drep is None else (
+                not drep.diverged and drep.settling_time is not None, drep.settling_time),
+            "Smoothness": (ok and rep.max_slew < thresholds.slew_max, rep.max_slew),
+        }
+        for prop in MATRIX_PROPERTIES:
+            cells[prop][name], measured[prop][name] = row[prop]
 
     return ComparisonMatrix(controllers=controllers, cells=cells, measured=measured)

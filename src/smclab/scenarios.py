@@ -501,7 +501,7 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
     make_dir(out_dir)
     runs = {}
     failures = {}
-    groups: dict[str, dict] = {}   # group -> law -> (report, delayed report, bound)
+    groups: dict[str, tuple] = {}   # group -> law-keyed (reports, delayed reports, bounds)
     for sc in suite:
         try:
             ts, report, why = run(sc)
@@ -523,8 +523,11 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
             delayed, failures[rerun.name] = None, f"{type(exc).__name__}: {exc}"
         if report is not None:
             law = sc.controller[0]
-            bound = controllers.declared_input_bound(law, sc.controller_params[0])
-            groups.setdefault(sc.matrix_group, {})[law] = (report, delayed, bound)
+            reports, delays, bounds = groups.setdefault(sc.matrix_group, ({}, {}, {}))
+            reports[law] = report
+            bounds[law] = controllers.declared_input_bound(law, sc.controller_params[0])
+            if delayed is not None:
+                delays[law] = delayed
 
     with open(out_dir / "summary.csv", "w", newline="") as f:
         f.write("name," + metrics.MetricsReport.csv_header() + "\n")
@@ -533,15 +536,10 @@ def run_suite(suite, out_dir, parallelism: int = 1) -> SuiteResult:
                 f.write(f"{name},{report.csv_row()}\n")
 
     matrices = {}
-    for group, seated in sorted(groups.items()):
-        if len(seated) < 2:
+    for group, (reports, delays, bounds) in sorted(groups.items()):
+        if len(reports) < 2:
             continue
-        matrix = metrics.comparison_matrix(
-            {law: seat[0] for law, seat in seated.items()},
-            metrics.DEFAULT_THRESHOLDS,
-            delayed={law: seat[1] for law, seat in seated.items() if seat[1] is not None},
-            input_bounds={law: seat[2] for law, seat in seated.items()},
-        )
+        matrix = metrics.comparison_matrix(reports, delayed=delays, input_bounds=bounds)
         matrices[group] = matrix
         with open(out_dir / f"matrix_{group}.csv", "w", newline="") as f:
             f.write("\n".join(matrix.csv_rows()) + "\n")

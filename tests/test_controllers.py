@@ -146,6 +146,11 @@ def test_tanh_fast_rejects_small_table():
         tanh_fast(1.0, 63)
     with pytest.raises(ConfigError):
         ObserverFreeParams(tanh_table_size=32)
+    # a size that is not an integer is rejected before np.linspace sees it
+    with pytest.raises(ConfigError):
+        tanh_fast(0.3, 100.5)
+    with pytest.raises(ConfigError):
+        ObserverFreeParams(tanh_table_size=100.5)
     # 0 means exact tanh and is allowed
     ObserverFreeParams(tanh_table_size=0)
 

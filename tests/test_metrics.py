@@ -308,6 +308,68 @@ def test_matrix_text_and_csv_forms():
     assert any(row.startswith("NoChattering,classical,no,") for row in rows)
 
 
+_LAWS = ("classical", "super-twisting", "adaptive", "observer-free", "none")
+_VALUES = st.floats(0.0, 2e3)   # straddles chattering_max and slew_max
+
+
+@st.composite
+def _matrix_case(draw):
+    """2-4 laws, each with a report (diverged or not), a delayed report
+    (absent, diverged, unsettled or settled) and a declared bound or None."""
+    laws = draw(st.lists(st.sampled_from(_LAWS), min_size=2, max_size=4, unique=True))
+    reports, delayed, bounds = {}, {}, {}
+    for law in laws:
+        diverged = draw(st.booleans())
+        # compute_report leaves the control metrics None when u overflows
+        overflow = diverged and draw(st.booleans())
+        control = {k: None if overflow else draw(_VALUES) for k in
+                   ("chattering_index", "control_effort", "max_abs_u", "max_slew")}
+        reports[law] = _report(diverged=diverged, **control)
+        u = control["max_abs_u"]
+        # on both sides of the 1e-12 tolerance, or anywhere
+        edge = st.nothing() if u is None else st.sampled_from([u - 2e-12, u - 5e-13])
+        bounds[law] = draw(st.none() | _VALUES | edge)
+        kind = draw(st.sampled_from(["absent", "diverged", "unsettled", "settled"]))
+        if kind != "absent":
+            settling = None if kind == "unsettled" else draw(_VALUES)
+            delayed[law] = _report(diverged=kind == "diverged", settling_time=settling)
+    return reports, delayed, bounds
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_matrix_case())
+def test_property_matrix_cells_follow_the_row_rules(case):
+    reports, delayed, bounds = case
+    m = comparison_matrix(reports, delayed=delayed, input_bounds=bounds)
+    assert set(m.controllers) == set(reports)
+    th = DEFAULT_THRESHOLDS
+    for law, rep in reports.items():
+        drep, bound, ok = delayed.get(law), bounds[law], not rep.diverged
+        want = {   # a diverged run is "no" on every measured row, bound or not
+            "NoChattering": (ok and rep.chattering_index < th.chattering_max,
+                             rep.chattering_index),
+            "ObserverFree": (law in ("classical", "observer-free", "none"), None),
+            "BoundedInput": (False if not ok else None if bound is None
+                             else rep.max_abs_u <= bound + 1e-12, rep.max_abs_u),
+            "DelayTolerant": (None, None) if drep is None else (
+                not drep.diverged and drep.settling_time is not None,
+                drep.settling_time),
+            "Smoothness": (ok and rep.max_slew < th.slew_max, rep.max_slew),
+        }
+        for prop, (verdict, value) in want.items():
+            assert m.verdict(prop, law) is verdict, (prop, law)
+            assert m.measured[prop][law] == value, (prop, law)
+    rows = m.csv_rows()
+    assert rows[0] == "property,controller,verdict,measured"
+    cells = [(p, c) for p in metrics.MATRIX_PROPERTIES for c in m.controllers]
+    assert len(rows) == 1 + len(cells)
+    marks = {None: "n/a", True: "yes", False: "no"}
+    for row, (prop, law) in zip(rows[1:], cells):
+        value = m.measured[prop][law]
+        assert row.split(",") == [prop, law, marks[m.cells[prop][law]],
+                                  "" if value is None else repr(value)]
+
+
 def test_report_serialization_forms():
     rep = _report(settling_time=None, lyap_epsilon_hat=None)
     text = rep.to_kv_text()
