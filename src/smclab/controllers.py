@@ -36,7 +36,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SingularGainError, check_ranges
+from .errors import (InvalidInputError, SingularGainError, check_positive, check_ranges,
+                     is_number, named_params)
 from .plants import G_MIN
 
 TANH_TABLE_MIN = 64
@@ -71,7 +72,7 @@ def _sign(s: float) -> float:
 def _tanh_size_rule(size, exact_ok: bool) -> tuple[bool, str]:
     """The tanh table size rule as a :func:`check_ranges` pair: an integer in
     [TANH_TABLE_MIN, TANH_TABLE_MAX], or 0 (exact tanh) where ``exact_ok``."""
-    ok = isinstance(size, numbers.Integral) and (
+    ok = is_number(size, numbers.Integral) and (
         TANH_TABLE_MIN <= size <= TANH_TABLE_MAX or exact_ok and size == 0)
     span = f"in [{TANH_TABLE_MIN}, {TANH_TABLE_MAX}]"
     return ok, f"tanh table size must be {'0 or ' if exact_ok else ''}{span}"
@@ -119,12 +120,13 @@ class AdaptiveParams:
     kmax: float = 50.0          # adaptation ceiling
 
     def __post_init__(self):
+        number = is_number(self.kmax)
         check_ranges(positive={"adaptive lam_s": self.lam_s, "adaptive phi": self.phi},
                      nonnegative={"adaptive gamma": self.gamma, "adaptive k0": self.k0},
                      # kmax is compared with a valid k0 only
-                     rules=[(math.isfinite(self.kmax)
+                     rules=[(math.isfinite(self.kmax) and number
                              and (self.kmax >= self.k0 or not 0 <= self.k0 < math.inf),
-                             "adaptive kmax must be >= k0")])
+                             f"adaptive kmax must be {'>= k0' if number else 'a number'}")])
 
 
 @lru_cache(maxsize=None)
@@ -208,13 +210,6 @@ def _one(rows, p, state, x, v, g, dt) -> tuple[ControlOutput, object]:
     return out, None if state is None else state[0]
 
 
-def _check_dt(dt) -> float:
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
-    return dt
-
-
 def observer_free_control(x, v, g_val, p: ObserverFreeParams) -> ControlOutput:
     """Smooth bounded control u = -lambda tanh(alpha), alpha = v + k1 x.
 
@@ -243,7 +238,7 @@ def super_twisting_control(x, v, dt, p: SuperTwistingParams,
     u = -k1st sqrt(|s|) sign(s) + vi, and the returned integrator state is
     vi - k2st sign(s) dt.
     """
-    return _one(_super_twisting_rows, p, vi, *_check_pair(x, v), None, _check_dt(dt))
+    return _one(_super_twisting_rows, p, vi, *_check_pair(x, v), None, check_positive(float(dt)))
 
 
 def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
@@ -252,7 +247,7 @@ def adaptive_smc_control(x, v, dt, p: AdaptiveParams,
 
     The returned gain min(kmax, k + gamma |s| dt) is formed after the output.
     """
-    return _one(_adaptive_rows, p, k, *_check_pair(x, v), None, _check_dt(dt))
+    return _one(_adaptive_rows, p, k, *_check_pair(x, v), None, check_positive(float(dt)))
 
 
 class _Law(NamedTuple):
@@ -279,11 +274,7 @@ CONTROLLER_NAMES = tuple(_LAWS)
 
 
 def param_type(name: str):
-    if name not in _LAWS:
-        raise ConfigError(
-            f"unknown controller '{name}', expected one of {CONTROLLER_NAMES}"
-        )
-    return _LAWS[name].params
+    return named_params("controller", _LAWS, name)[0].params
 
 
 def is_observer_free(name: str) -> bool | None:
@@ -301,12 +292,7 @@ def declared_input_bound(name: str, params) -> float | None:
 
 def _bind(name: str, params):
     """(list form, params, state at t = 0) for a checked name and params."""
-    cls = param_type(name)
-    if params is None:
-        params = cls()
-    if not isinstance(params, cls):
-        raise ConfigError(f"controller '{name}' expects {cls.__name__} parameters")
-    law = _LAWS[name]
+    law, params = named_params("controller", _LAWS, name, params)
     return law.rows, params, None if law.initial_state is None else law.initial_state(params)
 
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one range checker."""
+"""Exception types and the shared range, named-params, step-size and number rules."""
 
 import math
+import numbers
 
 
 class SmcLabError(Exception):
@@ -49,19 +50,45 @@ class DivergenceError(SmcLabError, RuntimeError):
         return type(self), (self.t, str(self))
 
 
+def is_number(value, kind=(float, int, numbers.Real)) -> bool:
+    """An instance of ``kind``, never a bool; the default tests float and int before the ABC."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_ranges(positive=None, nonnegative=None, finite=None, rules=(), gain=()):
     """Raise one ConfigError listing every failed check; return if none fails.
 
-    ``positive``, ``nonnegative`` and ``finite`` map labels to values that
-    must be finite and > 0, finite and >= 0, or finite.  ``rules`` are
-    ``(ok, message)`` pairs for any other rule, and ``gain`` those of the
+    ``positive``, ``nonnegative`` and ``finite`` map labels to numbers, never a
+    bool, that must be finite and > 0, finite and >= 0, or finite.  ``rules``
+    are ``(ok, message)`` pairs for any other rule, and ``gain`` those of the
     input gain floor, whose failure makes the error a SingularGainError.
     """
-    failed = [f"{k} must be > 0" for k, v in (positive or {}).items() if not 0 < v < math.inf]
-    failed += [f"{k} must be >= 0" for k, v in (nonnegative or {}).items()
-               if not 0 <= v < math.inf]
-    failed += [f"{k} must be finite" for k, v in (finite or {}).items() if not math.isfinite(v)]
+    maps = ((positive, lambda v: 0 < v < math.inf, "> 0"),
+            (nonnegative, lambda v: 0 <= v < math.inf, ">= 0"), (finite, math.isfinite, "finite"))
+    # the range is tested first, so a value that cannot be compared raises TypeError
+    failed = [f"{k} must be {rule if is_number(v) else 'a number'}"
+              for values, ok, rule in maps for k, v in (values or {}).items()
+              if not (ok(v) and is_number(v))]
     failed += [message for ok, message in rules if not ok]
     singular = [message for ok, message in gain if not ok]
     if failed or singular:
         raise (SingularGainError if singular else ConfigError)(*failed, *singular)
+
+
+def check_positive(value, name: str = "dt"):
+    """``value``, or InvalidInputError unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be > 0")
+    return value
+
+
+def named_params(kind: str, registry: dict, name, params=None):
+    """``(registry[name], params)``, where each entry starts with its params
+    type and None params become that type's defaults."""
+    if name not in registry:
+        raise ConfigError(f"unknown {kind} '{name}', expected one of {tuple(registry)}")
+    entry = registry[name]
+    params = entry[0]() if params is None else params
+    if not isinstance(params, entry[0]):
+        raise ConfigError(f"{kind} '{name}' expects {entry[0].__name__} parameters")
+    return entry, params

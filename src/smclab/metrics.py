@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .controllers import is_observer_free
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_positive
 
 SETTLING_BAND = 0.02    # absolute position band of settling_time
 LYAP_RISE_TOL = 1e-9
@@ -58,10 +58,8 @@ def _series(x, name: str = "series") -> np.ndarray:
 def settling_time(x_series, band: float, dt: float) -> float | None:
     """Earliest time after which |x| stays inside the band, None if never."""
     x = _series(x_series, "x_series")
-    if not (math.isfinite(band) and band > 0):
-        raise InvalidInputError("band must be > 0")
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
+    check_positive(band, "band")
+    check_positive(dt)
     outside = np.abs(x) > band
     if not outside.any():
         return 0.0
@@ -102,8 +100,7 @@ def lyapunov_stats(v_series, s_series, dt: float) -> tuple[int, float | None]:
     s = _series(s_series, "s_series")
     if v.shape != s.shape:
         raise InvalidInputError("V and s series must have equal length")
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
+    check_positive(dt)
     if v.shape[0] < 2:
         return 0, None
     dv = np.diff(v)
@@ -147,9 +144,7 @@ class MetricsReport:
 
     def to_kv_text(self) -> str:
         lines = [f"# {name}: {FORMULAS[name]}" for name in FORMULAS]
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            lines.append(f"{name}={_fmt(value)}")
+        lines += [f"{name}={_fmt(getattr(self, name))}" for name in self.FIELDS]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -192,9 +187,7 @@ def compute_report(ts, run_key: str = "") -> MetricsReport:
     n = ts.n_nodes
     x_mean = ts.x.mean(axis=1)
 
-    over = None
-    if x_mean[0] != 0.0:
-        over = overshoot(x_mean, target=0.0, x0=float(x_mean[0]))
+    over = overshoot(x_mean, target=0.0, x0=float(x_mean[0])) if x_mean[0] != 0.0 else None
 
     with np.errstate(over="ignore", invalid="ignore"):
         effort = float(np.sum(ts.u ** 2) * dt)
@@ -214,9 +207,7 @@ def compute_report(ts, run_key: str = "") -> MetricsReport:
         effort = None
     violations, eps_hat = lyapunov_stats(v_total, s_eff, dt) if v_ok else (None, None)
 
-    sync_final = None
-    if n >= 2:
-        _, sync_final = sync_error(ts.x)
+    sync_final = sync_error(ts.x)[1] if n >= 2 else None
 
     tail = max(1, ts.n_samples // 10)
     steady = float(np.mean(np.abs(x_mean[-tail:])))

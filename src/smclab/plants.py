@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, check_ranges
+from .errors import check_ranges, is_number, named_params
 
 G_MIN = 1e-9
 TOPOLOGIES = ("ring", "chain")
@@ -79,7 +79,7 @@ class NetworkParams:
 
     def __post_init__(self):
         check_ranges(nonnegative={"network kappa": self.kappa}, rules=[
-            (isinstance(self.n, int) and self.n >= 2, "network n must be an integer >= 2"),
+            (is_number(self.n, int) and self.n >= 2, "network n must be an integer >= 2"),
             (self.topology in TOPOLOGIES, f"network topology must be one of {TOPOLOGIES}"),
         ])
 
@@ -199,9 +199,7 @@ PLANT_NAMES = tuple(_PLANTS)
 
 
 def param_type(name: str):
-    if name not in _PLANTS:
-        raise ConfigError(f"unknown plant '{name}', expected one of {PLANT_NAMES}")
-    return _PLANTS[name][0]
+    return named_params("plant", _PLANTS, name)[0][0]
 
 
 def node_count(name: str, params) -> int:
@@ -211,11 +209,6 @@ def node_count(name: str, params) -> int:
 
 def make_plant(name: str, params=None) -> PlantModel:
     """Build a PlantModel by selector name, with optional parameter override."""
-    cls = param_type(name)
-    if params is None:
-        params = cls()
-    if not isinstance(params, cls):
-        raise ConfigError(f"plant '{name}' expects {cls.__name__} parameters")
-    n, b = _PLANTS[name][2](params)
-    return PlantModel(name=name, n_nodes=n, params=params,
-                      f=_PLANTS[name][1], g=np.full(n, float(b)))
+    (_, f, shape), params = named_params("plant", _PLANTS, name, params)
+    n, b = shape(params)
+    return PlantModel(name=name, n_nodes=n, params=params, f=f, g=np.full(n, float(b)))

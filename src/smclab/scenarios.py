@@ -30,25 +30,26 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import controllers, figures, metrics, plants, sim
-from .errors import ConfigError, ScenarioValidationError, SmcLabError
+from .errors import ConfigError, ScenarioValidationError, SmcLabError, is_number
 
 SCHEMA_VERSION = 1
 DELAY_PROBE_TAU = 0.01
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")   # names and matrix groups name files
-# JSON key aliases for reserved or awkward Python names
+# JSON key aliases for reserved or awkward Python names, read in every table
 _ALIASES = {"lambda": "lam"}
 _ALIASES_BACK = {v: k for k, v in _ALIASES.items()}
 
 
 @dataclass
 class Scenario:
-    """One validated, fully resolved run definition."""
+    """One validated, fully resolved run definition.  Only :func:`validate`
+    supplies defaults, so a hand-built Scenario gives every field."""
 
     name: str
     plant: str
@@ -57,13 +58,13 @@ class Scenario:
     controller_params: tuple[object, ...]
     x0: tuple[float, ...]
     sim: sim.SimConfig
-    noise: sim.NoiseConfig = field(default_factory=sim.NoiseConfig)
-    disturbance: sim.DisturbanceSpec = field(default_factory=sim.DisturbanceSpec)
-    delay: sim.DelaySpec = field(default_factory=sim.DelaySpec)
-    estimate_velocity: bool = False
-    velocity_filter_cutoff_hz: float = 20.0
-    views: tuple[str, ...] = ("state",)
-    matrix_group: str = ""
+    noise: sim.NoiseConfig
+    disturbance: sim.DisturbanceSpec
+    delay: sim.DelaySpec
+    estimate_velocity: bool
+    velocity_filter_cutoff_hz: float
+    views: tuple[str, ...]
+    matrix_group: str
 
     @property
     def n_nodes(self) -> int:
@@ -159,7 +160,7 @@ def document(ref, overrides=()):
 def _number(val, path: str, errors: list) -> float | None:
     """``float(val)`` of a JSON number, or None with a message for a bool,
     a non-number or an int too large for a float."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not is_number(val, (int, float)):
         errors.append(f"{path}: expected a number")
         return None
     try:
@@ -169,7 +170,7 @@ def _number(val, path: str, errors: list) -> float | None:
         return None
 
 
-def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
+def _build(cls, table, path: str, errors: list) -> object | None:
     """Construct a config dataclass from a JSON table, collecting messages."""
     if not isinstance(table, dict):
         errors.append(f"{path}: expected an object")
@@ -178,7 +179,7 @@ def _build(cls, table, path: str, errors: list, aliases=None) -> object | None:
     n_before = len(errors)
     kwargs = {}
     for key, val in table.items():
-        name = (aliases or {}).get(key, key)
+        name = _ALIASES.get(key, key)
         if name not in valid:
             errors.append(f"{path}.{key}: unknown parameter")
         # a field whose default is a params object takes a JSON object
@@ -226,7 +227,7 @@ def _named(entry, path: str, errors: list, kind: str, names, param_type):
             errors.append(f"{path}: {kind} {name!r} takes no parameters")
             return None
         return name, None
-    params = _build(cls, table, path, errors, _ALIASES)
+    params = _build(cls, table, path, errors)
     return None if params is None else (name, params)
 
 

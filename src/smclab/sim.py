@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import controllers
-from .errors import ConfigError, DivergenceError, InvalidInputError, check_ranges
+from .errors import (ConfigError, DivergenceError, InvalidInputError, check_positive, check_ranges,
+                     is_number)
 
 DIVERGENCE_LIMIT = 1e6
 DT_MIN = 1e-6
@@ -39,19 +40,21 @@ class SimConfig:
 
     def __post_init__(self):
         dt, t_final = self.dt, self.t_final
+        t_number = is_number(t_final)
         dt_ok = DT_MIN <= dt <= DT_MAX
-        t_ok = math.isfinite(t_final) and t_final >= dt
+        t_ok = math.isfinite(t_final) and t_final >= dt and t_number
         steps = t_final / dt if dt_ok and t_ok else 0.0     # inf once the quotient overflows
         # the window is checked on a positive dt, t_final >= dt on a valid dt
         check_ranges(rules=[
             (0 < dt < math.inf, "sim.dt must be positive"),
             (dt_ok or not 0 < dt < math.inf, f"sim.dt must lie in [{DT_MIN:g}, {DT_MAX:g}]"),
-            (t_ok or not dt_ok and math.isfinite(t_final), "sim.t_final must be >= dt"),
+            (t_ok or not dt_ok and math.isfinite(t_final) and t_number,
+             f"sim.t_final must be {'>= dt' if t_number else 'a number'}"),
             (not math.isinf(steps) and round(steps) <= MAX_STEPS,
              f"sim step count exceeds {MAX_STEPS:g}"),
-            (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
+            (is_number(self.seed, int) and 0 <= self.seed < 2 ** 64,
              "sim.seed must be an integer in [0, 2^64)"),
-            (isinstance(self.record_stride, int) and self.record_stride >= 1,
+            (is_number(self.record_stride, int) and self.record_stride >= 1,
              "sim.record_stride must be an integer >= 1"),
         ])
 
@@ -216,8 +219,7 @@ def rk4_step(deriv: Callable, state, t: float, dt: float) -> np.ndarray:
     give the bits the array expressions give.  Returns the new state as an
     ndarray; raises DivergenceError if it is not finite.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be > 0")
+    check_positive(dt)
     if type(state) is list:
         y, f = state, deriv
     else:
@@ -418,17 +420,15 @@ def simulate_run(scenario) -> TimeSeries:
     if len(scenario.controller) != n:
         raise ConfigError(f"expected {n} controllers, got {len(scenario.controller)}")
     control = controllers.node_laws(scenario.controller, scenario.controller_params)
-    noise = scenario.noise
+    delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)
+    noise, estimator = scenario.noise, None
     if scenario.estimate_velocity:
         noise = NoiseConfig(std_x=noise.std_x)
+        estimator = LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
     noisy = noise.std_x > 0.0 or noise.std_v > 0.0
     streams = NoiseStreams(cfg.seed, n) if noisy else None
-    delay = DelayLine(scenario.delay.tau, dt, fill=[0.0] * n)
     disturbance = scenario.disturbance
     disturbed = disturbance.kind != "none"
-    estimator = None
-    if scenario.estimate_velocity:
-        estimator = LowPassDifferentiator(scenario.velocity_filter_cutoff_hz, dt)
 
     x0 = np.asarray(scenario.x0, dtype=float)
     if x0.shape != (2 * n,):

@@ -314,9 +314,14 @@ def test_declared_input_bounds():
 
 
 def test_make_controller_validation():
-    with pytest.raises(ConfigError):
+    unknown = ("^unknown controller 'pid', expected one of "
+               "\\('observer-free', 'classical', 'super-twisting', 'adaptive', 'none'\\)$")
+    with pytest.raises(ConfigError, match=unknown):
         Controller("pid")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=unknown):
+        controllers.param_type("pid")
+    with pytest.raises(ConfigError,
+                       match="^controller 'classical' expects ClassicalParams parameters$"):
         Controller("classical", ObserverFreeParams())
     none_ctrl = Controller("none")
     assert none_ctrl.step(3.0, 1.0, 1.0, 1e-3).u == 0.0

@@ -170,9 +170,13 @@ def test_make_plant_names_and_dimensions():
     assert make_plant("vdp").n_nodes == 1
     assert make_plant("duffing").n_nodes == 1
     assert make_plant("network5").n_nodes == 5
-    with pytest.raises(ConfigError):
+    unknown = ("^unknown plant 'lorenz', expected one of "
+               "\\('pendulum', 'vdp', 'duffing', 'network5'\\)$")
+    with pytest.raises(ConfigError, match=unknown):
         make_plant("lorenz")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=unknown):
+        plants.param_type("lorenz")
+    with pytest.raises(ConfigError, match="^plant 'pendulum' expects PendulumParams parameters$"):
         make_plant("pendulum", VanDerPolParams())
 
 
